@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check lint build vet test race bench benchreport fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
+.PHONY: check lint build vet test race perfbench bench benchreport fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
 
-check: lint build race
+check: lint build race perfbench
 
 # Static analysis: go vet plus the repo's own analyzer suite (see
 # DESIGN.md §9 and internal/analyzers).
@@ -27,6 +27,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark (perfbench/, see its README) is its own module that
+# replaces compass with this checkout, so `./...` above never compiles it.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Differential fuzzing smoke: a clean sweep over all libraries must stay
 # silent, and a seeded mutant must be caught and shrunk. Longer campaigns:

@@ -4,7 +4,7 @@
 // replay, golden traces, shrinking, and prefix-partitioned parallel
 // exploration sound — so the core may not read wall clocks, draw from
 // the global math/rand stream, iterate maps in observable order, or
-// spawn goroutines outside the lockstep scheduler.
+// spawn goroutines outside a sanctioned spawn point.
 package detnondet
 
 import (
@@ -52,7 +52,7 @@ func run(pass *lint.Pass) error {
 				checkRange(pass, file, n)
 			case *ast.GoStmt:
 				if !lint.FuncDirective(file, n.Pos(), "scheduler") {
-					pass.Reportf(n.Pos(), "goroutine spawned outside the scheduler; all concurrency in the core must go through the lockstep scheduler (mark the scheduler itself //compass:scheduler)")
+					pass.Reportf(n.Pos(), "goroutine spawned outside the scheduler; simulated threads run as Runner.Run's coroutines, and only harness pools above it may spawn (mark such a spawn point //compass:scheduler)")
 				}
 			}
 			return true

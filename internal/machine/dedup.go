@@ -185,24 +185,27 @@ func strHash(s string) uint64 {
 }
 
 // appendDedupState appends the canonical encoding of everything that
-// determines the run's continuation beyond the caller-supplied thread
-// lifecycle bytes: the memory (histories, views, SC clock), each
-// thread's view state and op history, the POR bookkeeping (pending
-// accesses, sleep and done masks, read floors — included because two
-// paths can reach isomorphic states with different sleep sets, and
-// cutting a run whose sleep set is smaller than the claimant's would
-// unsoundly drop the continuations only the smaller set explores), and
-// the outcome map in sorted name order (cross-thread report interleaving
-// on the same name is invisible to per-thread histories).
-func (c *controller) appendDedupState(buf []byte, tvs []*memory.ThreadView) []byte {
+// determines the run's continuation: the thread lifecycle bytes, the
+// memory (histories, views, SC clock), each thread's view state and op
+// history, the POR bookkeeping (pending accesses, sleep and done masks,
+// read floors — included because two paths can reach isomorphic states
+// with different sleep sets, and cutting a run whose sleep set is smaller
+// than the claimant's would unsoundly drop the continuations only the
+// smaller set explores), and the outcome map in sorted name order
+// (cross-thread report interleaving on the same name is invisible to
+// per-thread histories).
+func (c *controller) appendDedupState(buf []byte) []byte {
+	for _, s := range c.state {
+		buf = append(buf, byte(s))
+	}
 	o := c.mem.CanonicalOrder()
 	buf = c.mem.AppendCanon(buf, o)
-	for tid, tv := range tvs {
-		if tv == nil {
+	for tid, t := range c.threads {
+		if t.tv == nil {
 			buf = append(buf, 0)
 		} else {
 			buf = append(buf, 1)
-			buf = o.AppendCanonThread(buf, tv)
+			buf = o.AppendCanonThread(buf, t.tv)
 		}
 		h := c.opHist[tid]
 		buf = binary.LittleEndian.AppendUint64(buf, h[0])

@@ -5,11 +5,12 @@
 // nondeterminism: which thread steps next, and which visible message a
 // relaxed/acquire read observes.
 //
-// Threads run as goroutines but proceed in strict lockstep with the
-// scheduler: exactly one thread is ever between "granted" and "parked", so
-// the shared memory needs no locking and executions are deterministic
-// functions of the strategy's decisions (enabling replay and exhaustive
-// exploration).
+// Each thread runs as a coroutine (iter.Pull) that yields the memory
+// access it is about to perform and then waits for a grant. The scheduler
+// resumes one coroutine at a time and runs only while that coroutine is
+// suspended, so the shared memory needs no locking and executions are
+// deterministic functions of the strategy's decisions (enabling replay and
+// exhaustive exploration).
 package machine
 
 import (
@@ -109,19 +110,24 @@ func (r *Result) Trace() []string {
 type Strategy interface {
 	// PickThread picks the next thread to step among the runnable ones
 	// (indices into the program's thread list; 0 is the main thread).
-	// Called only when len(runnable) > 1.
+	// Called only when len(runnable) > 1; the slice is reused after the
+	// call returns.
 	PickThread(runnable []int) int
 	// Choose picks among n > 1 visible messages for a read.
 	Choose(n int) int
 }
 
-// abort is the panic payload used to unwind a thread on race/budget/kill.
+// abort is the panic payload that ends the execution from inside a thread
+// (a race, a footprint violation, Failf).
 type abort struct {
 	status Status
 	err    error
 }
 
+// killed unwinds a suspended thread whose coroutine Run stops.
 type killed struct{}
+
+var errBudget = errors.New("step budget exhausted")
 
 // accessAbort classifies a memory-access error: footprint-certificate
 // violations are harness failures (the recording pre-pass under-covered
@@ -140,6 +146,11 @@ type Thread struct {
 	id int
 	tv *memory.ThreadView
 	mc *controller
+	// The thread's coroutine: the body announces its steps through yield;
+	// the controller grants them with next and tears down with stop.
+	yield func(memory.Access) bool
+	next  func() (memory.Access, bool)
+	stop  func()
 }
 
 // ID returns the thread's index: 0 for the main thread, 1..N for workers.
@@ -149,28 +160,13 @@ func (t *Thread) ID() int { return t.id }
 // recorder to snapshot and extend clocks at commit points).
 func (t *Thread) TV() *memory.ThreadView { return t.tv }
 
-// step parks the thread until the scheduler grants it its next event. op
-// describes the operation the thread will perform once granted; under
-// partial-order reduction the controller consults it to decide which
-// pending steps commute. The write to pending happens-before the
-// controller's read via the events channel send.
+// step yields op, the operation the thread will perform once granted, and
+// suspends the thread until the scheduler grants it. Under partial-order
+// reduction the controller consults op to decide which pending steps
+// commute.
 func (t *Thread) step(op memory.Access) {
-	if t.mc.por != POROff {
-		t.mc.pending[t.id] = op
-	}
-	select {
-	case t.mc.events <- event{tid: t.id, kind: evRequest}:
-	case <-t.mc.kill:
+	if !t.yield(op) {
 		panic(killed{})
-	}
-	select {
-	case <-t.mc.grants[t.id]:
-	case <-t.mc.kill:
-		panic(killed{})
-	}
-	t.mc.steps++
-	if t.mc.steps > t.mc.budget {
-		panic(abort{status: Budget, err: errors.New("step budget exhausted")})
 	}
 }
 
@@ -381,34 +377,34 @@ func (t *Thread) Failf(format string, args ...interface{}) {
 // Mem exposes the underlying memory (read-only use: histories, names).
 func (t *Thread) Mem() *memory.Memory { return t.mc.mem }
 
-// event kinds flowing from threads to the controller.
-const (
-	evRequest = iota // thread wants to take its next step
-	evFinished
-	evAborted
-	evSpawn // main thread is ready for workers to start
-)
+// lifecycle is a thread's state at a scheduling decision. The byte values
+// are part of the dedup fingerprint.
+type lifecycle uint8
 
-type event struct {
-	tid    int
-	kind   int
-	status Status
-	err    error
-}
+const (
+	parked    lifecycle = iota + 1 // announced its next step, awaiting a grant
+	blocked                        // main, waiting to join the workers
+	done                           // body returned
+	unstarted                      // worker not started yet
+)
 
 type controller struct {
 	mem     *memory.Memory
 	strat   Strategy
 	stats   *telemetry.Stats // nil when telemetry is disabled
 	reads   readChooser      // constructed once per run, not per Read
-	events  chan event
-	grants  []chan struct{}
-	kill    chan struct{}
+	threads []*Thread        // 0 is main, 1..N the workers
+	state   []lifecycle      // per thread
+	ready   []int            // scratch for runnable, reused across grants
 	steps   int
 	budget  int
 	outcome map[string]int64
 	trace   []StepEvent // per-step op log (only when tracing is enabled)
 	tracing bool
+	// How the execution ended, once ended is set.
+	ended  bool
+	status Status
+	err    error
 	// Partial-order reduction state (only when por != POROff).
 	// pending[tid] is the operation thread tid announced at its last park;
 	// sleep is a bitmask of parked threads whose pending operation commutes
@@ -441,6 +437,7 @@ type controller struct {
 	// memory.CanonLocID), assigned at Alloc. canonBuf is the reused
 	// encoding scratch.
 	dedup    *Dedup
+	free     freeDecider // the strategy, when dedup is armed
 	opHist   [][2]uint64
 	locCanon []uint64
 	canonBuf []byte
@@ -593,13 +590,18 @@ type Runner struct {
 }
 
 // Run executes prog under the given strategy and returns the result.
-// Run is the lockstep scheduler: the only place simulator goroutines are
-// spawned, and they run strictly one at a time under controller grants.
-// It also records the per-execution footprint-pruning totals, which are
+//
+// Every thread body runs as a coroutine that Run resumes one step at a
+// time: main's setup alone, then the workers under the strategy, then
+// main's final phase after it joins the workers' views. Run stops every
+// coroutine it started before it returns. A panic in a thread body other
+// than an execution abort (Failf, a race, a footprint violation), such as
+// a bug in the program or an out-of-range Strategy.Choose, is re-raised
+// by Run in the caller's goroutine after the other threads are stopped.
+// Run also records the per-execution footprint-pruning totals, which are
 // facts about the finished execution's memory rather than result
 // accounting (they cannot overshoot an early stop).
 //
-//compass:scheduler
 //compass:accounting
 func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	budget := r.Budget
@@ -620,9 +622,8 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		strat:   strat,
 		stats:   r.Stats,
 		reads:   readChooser{strat: strat, stats: r.Stats},
-		events:  make(chan event),
-		grants:  make([]chan struct{}, nw+1),
-		kill:    make(chan struct{}),
+		threads: make([]*Thread, nw+1),
+		state:   make([]lifecycle, nw+1),
 		budget:  budget,
 		outcome: map[string]int64{},
 		tracing: r.Trace,
@@ -638,13 +639,9 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 			c.plan = memory.NewPlanOracle(r.Plan, c.mem)
 		}
 	}
-	for i := range c.grants {
-		c.grants[i] = make(chan struct{})
-	}
-	var freeStrat freeDecider
 	if r.Dedup != nil {
 		if fd, ok := strat.(freeDecider); ok {
-			freeStrat = fd
+			c.free = fd
 			c.dedup = r.Dedup
 			c.opHist = make([][2]uint64, nw+1)
 		}
@@ -652,172 +649,113 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	if r.Footprint != nil {
 		c.mem.Certify(r.Footprint)
 	}
-
-	mainTV := memory.NewThreadView(0)
-	mainTh := &Thread{id: 0, tv: mainTV, mc: c}
-	workers := make([]*Thread, nw)
-	for i := 0; i < nw; i++ {
-		workers[i] = &Thread{id: i + 1, mc: c} // tv filled at spawn time
+	c.threads[0] = &Thread{id: 0, tv: memory.NewThreadView(0), mc: c}
+	for i := 1; i <= nw; i++ {
+		c.threads[i] = &Thread{id: i, mc: c} // tv forked at spawn
+		c.state[i] = unstarted
 	}
+	defer c.stopAll()
+	c.run(prog)
 
-	runBody := func(t *Thread, body func(*Thread), spawnAfterSetup bool) {
+	c.stats.FootprintPruned(c.mem.PrunedReads(), c.mem.RaceChecksSkipped())
+	if c.por == PORSource {
+		// One histogram sample per execution: how many race reversals
+		// (wakes) this run's wakeup bookkeeping carried.
+		c.stats.PORRunWakeups(c.wakes)
+	}
+	return &Result{Status: c.status, Err: c.err, Mem: c.mem, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
+}
+
+// run drives the execution to its end: setup, spawn, the worker
+// schedule, join, final.
+func (c *controller) run(prog Program) {
+	main, workers := c.threads[0], c.threads[1:]
+	if prog.Setup != nil {
+		if c.start(main, prog.Setup); c.schedule() {
+			return
+		}
+	}
+	// Setup is over: validate and seal the footprint certificate (if any)
+	// so certified fast paths activate exactly when concurrency begins. A
+	// seal failure means the certificate is stale.
+	if err := c.mem.SealSetup(); err != nil {
+		c.end(Failed, err)
+		return
+	}
+	// Spawn: main blocks until the join, and the workers start one at a
+	// time in thread order with views forked from main's. Each runs alone
+	// up to its first step, so starting adds no decision points.
+	c.state[0] = blocked
+	for i, w := range workers {
+		w.tv = main.tv.Fork(w.id)
+		if c.start(w, prog.Workers[i]); c.ended {
+			return
+		}
+	}
+	if c.schedule() {
+		return
+	}
+	for _, w := range workers {
+		main.tv.JoinClock(w.tv.Cur)
+	}
+	if prog.Final != nil {
+		if c.start(main, prog.Final); c.schedule() {
+			return
+		}
+	}
+	c.end(OK, nil)
+}
+
+// start makes body the coroutine of thread t and runs it alone up to its
+// first step. The coroutine wrapper records an abort as the end of the
+// execution; any other panic reaches Run's caller through next.
+func (c *controller) start(t *Thread, body func(*Thread)) {
+	t.next, t.stop = pull(func(yield func(memory.Access) bool) {
+		t.yield = yield
 		defer func() {
-			if p := recover(); p != nil {
-				switch a := p.(type) {
-				case abort:
-					c.events <- event{tid: t.id, kind: evAborted, status: a.status, err: a.err}
-				case killed:
-					// controller is tearing the run down; exit silently
-				default:
-					panic(p)
-				}
-				return
+			switch p := recover().(type) {
+			case nil, killed:
+			case abort:
+				c.end(p.status, p.err)
+			default:
+				panic(p)
 			}
-			c.events <- event{tid: t.id, kind: evFinished}
 		}()
 		body(t)
-		_ = spawnAfterSetup
-	}
+	})
+	c.resume(t)
+}
 
-	// Main thread body: setup, spawn workers, wait, final.
-	go runBody(mainTh, func(t *Thread) {
-		if prog.Setup != nil {
-			prog.Setup(t)
+// resume runs thread t alone until it yields its next step or its body
+// returns.
+func (c *controller) resume(t *Thread) {
+	op, ok := t.next()
+	if ok {
+		c.state[t.id] = parked
+		if c.por != POROff {
+			c.pending[t.id] = op
 		}
-		// Setup is over: validate and seal the footprint certificate (if
-		// any) so certified fast paths activate exactly when concurrency
-		// begins. A seal failure means the certificate is stale.
-		if err := t.mc.mem.SealSetup(); err != nil {
-			panic(abort{status: Failed, err: err})
-		}
-		// Signal the controller to start the workers; block until they all
-		// finish (the controller re-grants main afterwards).
-		select {
-		case c.events <- event{tid: 0, kind: evSpawn}:
-		case <-c.kill:
-			panic(killed{})
-		}
-		select {
-		case <-c.grants[0]:
-		case <-c.kill:
-			panic(killed{})
-		}
-		if prog.Final != nil {
-			prog.Final(t)
-		}
-	}, false)
+		return
+	}
+	c.state[t.id] = done
+	if c.por != POROff && t.id != 0 {
+		// Main's setup ends here too, but main only finishes with the run.
+		c.doneMask |= 1 << uint(t.id)
+	}
+}
 
-	// Controller loop.
-	type tstate uint8
-	const (
-		computing tstate = iota // between grant and next park
-		parked                  // waiting for a grant
-		blocked                 // main waiting for workers
-		done                    // finished or aborted
-		unstarted
-	)
-	states := make([]tstate, nw+1)
-	states[0] = computing
-	for i := 1; i <= nw; i++ {
-		states[i] = unstarted
-	}
-	var tvScratch []*memory.ThreadView
-	if c.dedup != nil {
-		tvScratch = make([]*memory.ThreadView, nw+1)
-	}
-	var final *Result
-	finish := func(st Status, err error) {
-		final = &Result{Status: st, Err: err, Mem: c.mem, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
-		c.stats.FootprintPruned(c.mem.PrunedReads(), c.mem.RaceChecksSkipped())
-		if c.por == PORSource {
-			// One histogram sample per execution: how many race reversals
-			// (wakes) this run's wakeup bookkeeping carried.
-			c.stats.PORRunWakeups(c.wakes)
-		}
-	}
-
-	for final == nil {
-		// Wait until no thread is computing.
-		anyComputing := false
-		for _, s := range states {
-			if s == computing {
-				anyComputing = true
-			}
-		}
-		if anyComputing {
-			ev := <-c.events
-			switch ev.kind {
-			case evRequest:
-				states[ev.tid] = parked
-			case evFinished:
-				states[ev.tid] = done
-				if c.por != POROff {
-					c.doneMask |= 1 << uint(ev.tid)
-				}
-				if ev.tid == 0 {
-					finish(OK, nil)
-				}
-			case evAborted:
-				finish(ev.status, ev.err)
-			case evSpawn:
-				states[0] = blocked
-				for i := 1; i <= nw; i++ {
-					// Fork the views now (main is blocked and won't move),
-					// but start the goroutines one at a time below: the
-					// segment of a worker body before its first machine
-					// operation runs unscheduled, so a simultaneous start
-					// would race on the shared recorder.
-					workers[i-1].tv = mainTV.Fork(i)
-				}
-				if nw == 0 {
-					states[0] = parked // will be resumed below
-				}
-			}
-			continue
-		}
-		// Start the next unstarted worker, serially in thread order: it
-		// computes alone until its first park, preserving the
-		// one-thread-at-a-time invariant without adding decision points.
-		if startedNext := func() bool {
-			for i := 1; i <= nw; i++ {
-				if states[i] == unstarted && states[0] == blocked {
-					states[i] = computing
-					go runBody(workers[i-1], prog.Workers[i-1], false)
-					return true
-				}
-			}
-			return false
-		}(); startedNext {
-			continue
-		}
-		// All threads parked/blocked/done. If workers are all done and main
-		// is blocked, join worker views and resume main.
-		if states[0] == blocked {
-			allDone := true
-			for i := 1; i <= nw; i++ {
-				if states[i] != done {
-					allDone = false
-				}
-			}
-			if allDone {
-				for i := 0; i < nw; i++ {
-					mainTV.JoinClock(workers[i].tv.Cur)
-				}
-				states[0] = computing
-				c.grants[0] <- struct{}{}
-				continue
-			}
-		}
-		// Pick a parked thread to grant.
-		runnable := runnable(states[:], int(parked))
+// schedule grants steps to the parked threads, one at a time, until no
+// thread is parked. It reports whether the execution has ended.
+func (c *controller) schedule() bool {
+	for !c.ended {
+		runnable := c.runnable()
 		if len(runnable) == 0 {
-			finish(Failed, errors.New("machine: deadlock (no runnable thread)"))
-			break
+			return false
 		}
 		cand := runnable
 		if c.por != POROff {
 			if cand = c.porCandidates(runnable); cand == nil {
-				finish(Pruned, nil)
+				c.end(Pruned, nil)
 				break
 			}
 			if c.por == PORSource && len(cand) > 1 {
@@ -826,50 +764,61 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 				}
 			}
 		}
-		if c.dedup != nil && freeStrat.FreeDecisions() {
+		if c.dedup != nil && c.free.FreeDecisions() {
 			// Fingerprint the state at every free scheduling decision —
 			// prefix-pinned decisions were claimed by the run that pushed
 			// the prefix, so checking only free ones keeps the set of
 			// checked points a deterministic function of each decision
 			// path (and therefore run counts identical serial vs parallel).
-			buf := c.canonBuf[:0]
-			for _, s := range states {
-				buf = append(buf, byte(s))
-			}
-			tvScratch[0] = mainTV
-			for i, w := range workers {
-				tvScratch[i+1] = w.tv
-			}
-			buf = c.appendDedupState(buf, tvScratch)
-			c.canonBuf = buf
-			if c.dedup.checkAndMark(buf, r.Stats) {
-				finish(Deduped, nil)
+			c.canonBuf = c.appendDedupState(c.canonBuf[:0])
+			if c.dedup.checkAndMark(c.canonBuf, c.stats) {
+				c.end(Deduped, nil)
 				break
 			}
 		}
 		idx := 0
 		if len(cand) > 1 {
-			idx = strat.PickThread(cand)
+			idx = c.strat.PickThread(cand)
 		}
 		pick := cand[idx]
 		if c.por != POROff {
 			c.porCommit(cand, idx)
 		}
 		c.stats.ThreadPick(pick)
-		states[pick] = computing
-		c.grants[pick] <- struct{}{}
+		c.steps++
+		if c.steps > c.budget {
+			c.end(Budget, errBudget)
+			break
+		}
+		c.resume(c.threads[pick])
 	}
-
-	close(c.kill)
-	return final
+	return true
 }
 
-func runnable[T ~uint8](states []T, parked int) []int {
-	var out []int
-	for i, s := range states {
-		if int(s) == parked {
-			out = append(out, i)
+// runnable lists the parked threads in thread order, in a buffer reused
+// across grants.
+func (c *controller) runnable() []int {
+	out := c.ready[:0]
+	for tid, s := range c.state {
+		if s == parked {
+			out = append(out, tid)
 		}
 	}
+	c.ready = out
 	return out
+}
+
+// end records how the execution ended.
+func (c *controller) end(st Status, err error) {
+	c.ended, c.status, c.err = true, st, err
+}
+
+// stopAll stops every suspended thread coroutine, unwinding its body. Run
+// defers it, so it also runs when a panic propagates.
+func (c *controller) stopAll() {
+	for _, t := range c.threads {
+		if t.stop != nil {
+			t.stop()
+		}
+	}
 }

@@ -285,8 +285,8 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 // though results already in flight on other workers are still visited.
 //
 // ExploreParallel is a sanctioned spawn point: its goroutines are harness
-// workers above the simulator, each running whole executions through the
-// lockstep scheduler, never simulated threads.
+// workers above the simulator, each running whole executions through
+// Runner.Run, never simulated threads.
 //
 //compass:scheduler
 func ExploreParallel(opts ExploreOpts, newWorker func() (build func() Program, visit func(*Result) bool)) ExploreResult {
