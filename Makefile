@@ -46,6 +46,7 @@ fuzz:
 FUZZTIME ?= 30s
 fuzznative:
 	$(GO) test -fuzz FuzzViewOps -fuzztime $(FUZZTIME) ./internal/view
+	$(GO) test -fuzz FuzzLogViewOps -fuzztime $(FUZZTIME) ./internal/view
 	$(GO) test -fuzz FuzzMemorySteps -fuzztime $(FUZZTIME) ./internal/memory
 
 # Golden litmus corpus: verify the reachable-outcome sets; regenerate
@@ -90,9 +91,11 @@ servesmoke:
 shardsmoke:
 	$(GO) test ./internal/serve -run 'TestShard|TestHTTP|TestSubmitDuringShutdown|TestKillResumeDedup' -count=1 -v
 
-# Quick benchmark pass over the tier-1 set (see cmd/benchreport).
+# Quick benchmark pass over the tier-1 set (see cmd/benchreport), plus
+# the logical-view joins and lib/deque's bytes and allocations per
+# exhaustive execution.
 bench:
-	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP' -benchmem . ./internal/view ./internal/memory
+	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive' -benchmem . ./internal/view ./internal/memory
 
 # Full tier-1 snapshot written to BENCH_<date>.json.
 benchreport:

@@ -6,10 +6,14 @@ package compass_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"compass"
+	"compass/internal/analysis/staticplan"
+	"compass/internal/check"
 	"compass/internal/experiments"
+	"compass/internal/litmus"
 )
 
 // benchCfg is the reduced experiment scale used inside benchmarks.
@@ -268,4 +272,37 @@ func BenchmarkExhaustiveMP(b *testing.B) {
 			b.Fatalf("%s", res)
 		}
 	}
+}
+
+// BenchmarkLibDequeExhaustive proves lib/deque the way perfbench's
+// library-source workload does (source-DPOR, the committed static plan,
+// the refinement oracle, one worker) and reports what each execution
+// allocates, read from runtime.MemStats over the whole loop.
+func BenchmarkLibDequeExhaustive(b *testing.B) {
+	var lt litmus.LibTest
+	for _, t := range litmus.LibrarySuite() {
+		if t.Name == "lib/deque" {
+			lt = t
+		}
+	}
+	pl := staticplan.PlanFor(lt.Name)
+	if pl == nil {
+		b.Fatal("no committed plan for lib/deque")
+	}
+	var before, after runtime.MemStats
+	execs := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := litmus.RunLib(lt, 600000, litmus.WithWorkers(1), litmus.WithPORMode(check.PORSource), litmus.WithPlan(pl))
+		if !r.OK() {
+			b.Fatalf("%s", r)
+		}
+		execs += r.Runs
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(execs), "B/exec")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(execs), "allocs/exec")
 }

@@ -87,8 +87,11 @@ func (r *Recorder) Arm(th *machine.Thread, id view.EventID) {
 // the only write between Arm and Disarm is the failed (and therefore
 // non-writing) publishing instruction itself.
 //
-// Iterating the per-location release clocks in map order is fine: the
-// removals are independent and touch disjoint clocks.
+// A logical view is copy-on-write, so a release clock that held the id
+// gets a fresh view written back into RelLoc; the message clock it shared
+// storage with is untouched. Iterating the per-location release clocks in
+// map order is fine: the removals are independent and touch disjoint
+// clocks.
 //
 //compass:orderinsensitive
 func (r *Recorder) Disarm(th *machine.Thread, id view.EventID) {
@@ -96,8 +99,11 @@ func (r *Recorder) Disarm(th *machine.Thread, id view.EventID) {
 	tv.Cur.L.Remove(id)
 	tv.Acq.L.Remove(id)
 	tv.FRel.L.Remove(id) // a release fence may have snapshotted the armed id
-	for _, c := range tv.RelLoc {
-		c.L.Remove(id)
+	for l, c := range tv.RelLoc {
+		if c.L.Has(id) {
+			c.L.Remove(id)
+			tv.RelLoc[l] = c
+		}
 	}
 }
 
@@ -120,13 +126,8 @@ func (r *Recorder) Commit(th *machine.Thread, id view.EventID) {
 	}
 	tv := th.TV()
 	e.PhysView = tv.Cur.V.Clone()
-	lv := tv.Cur.L.Clone()
-	e.LogView = view.NewLog()
-	for _, x := range lv.Events() {
-		if x != id {
-			e.LogView.Add(x)
-		}
-	}
+	e.LogView = tv.Cur.L.Clone()
+	e.LogView.Remove(id)
 	e.CommitStep = th.Mem().Step()
 	e.Committed = true
 	r.graph.CommitOrder = append(r.graph.CommitOrder, id)

@@ -55,9 +55,10 @@ func newDeque(th *machine.Thread, name string, cap int, sc bool) *Deque {
 	}
 	d.items = make([]view.Loc, cap)
 	d.eids = make([]view.Loc, cap)
+	item, eid := name+".item", name+".eid"
 	for i := 0; i < cap; i++ {
-		d.items[i] = th.Alloc(name+".item", 0)
-		d.eids[i] = th.Alloc(name+".eid", -1)
+		d.items[i] = th.Alloc(item, 0)
+		d.eids[i] = th.Alloc(eid, -1)
 	}
 	return d
 }

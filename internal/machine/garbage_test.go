@@ -1,0 +1,92 @@
+package machine
+
+import (
+	"slices"
+	"sync"
+	"testing"
+)
+
+// TestTracedExploreAllocatesOneLogPerRun: every SB run takes the same
+// number of steps, so once the first run has sized the step-event log,
+// tracing costs each later run exactly one array — its own log —
+// instead of a log grown by doubling from empty.
+func TestTracedExploreAllocatesOneLogPerRun(t *testing.T) {
+	all := Explore(buildSB, ExploreOpts{}, func(*Result) bool { return true }).Runs
+	if all < 4 {
+		t.Fatalf("SB explores %d runs; the test needs several", all)
+	}
+	allocs := func(trace bool, runs int) float64 {
+		opts := ExploreOpts{Trace: trace, MaxRuns: runs}
+		return testing.AllocsPerRun(5, func() {
+			Explore(buildSB, opts, func(*Result) bool { return true })
+		})
+	}
+	traced := allocs(true, all) - allocs(true, 1)
+	untraced := allocs(false, all) - allocs(false, 1)
+	if extra := traced - untraced; extra > float64(all-1) {
+		t.Fatalf("runs 2..%d allocate %v times traced, %v untraced: %v extra arrays, want at most %d",
+			all, traced, untraced, extra, all-1)
+	}
+}
+
+// keptResult is a visited Result with the trace rendered during its visit.
+type keptResult struct {
+	r     *Result
+	lines []string
+}
+
+// checkOwned asserts every retained Result still renders the trace it
+// had when it was visited: no later run wrote into its Events.
+func checkOwned(t *testing.T, kept []keptResult) {
+	t.Helper()
+	if len(kept) < 2 {
+		t.Fatalf("only %d results retained", len(kept))
+	}
+	for i, k := range kept {
+		if len(k.lines) == 0 {
+			t.Fatalf("result %d was visited with an empty trace", i)
+		}
+		if got := k.r.Trace(); !slices.Equal(got, k.lines) {
+			t.Fatalf("result %d: trace changed after its visit:\n got %q\nwant %q", i, got, k.lines)
+		}
+	}
+}
+
+// TestResultsOwnTheirEvents: the explorers size each run's step-event
+// log from earlier runs, but every Result keeps its own Events.
+func TestResultsOwnTheirEvents(t *testing.T) {
+	for _, build := range []func() Program{buildSB, buildMP} {
+		t.Run(build().Name, func(t *testing.T) {
+			var kept []keptResult
+			Explore(build, ExploreOpts{Trace: true}, func(r *Result) bool {
+				kept = append(kept, keptResult{r, r.Trace()})
+				return true
+			})
+			checkOwned(t, kept)
+		})
+	}
+	t.Run("parallel", func(t *testing.T) {
+		var mu sync.Mutex
+		var kept []keptResult
+		newWorker := func() (func() Program, func(*Result) bool) {
+			return buildMP, func(r *Result) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				kept = append(kept, keptResult{r, r.Trace()})
+				return true
+			}
+		}
+		opts := ExploreOpts{Trace: true, Workers: 2, PauseRuns: 3}
+		res := ExploreParallel(opts, newWorker)
+		segments := 1
+		for res.Paused {
+			opts.Resume = res.Frontier
+			res = ExploreParallel(opts, newWorker)
+			segments++
+		}
+		if !res.Complete || segments < 2 {
+			t.Fatalf("complete=%v after %d segments; want a complete run resumed at least once", res.Complete, segments)
+		}
+		checkOwned(t, kept)
+	})
+}

@@ -601,9 +601,16 @@ type Runner struct {
 // Run also records the per-execution footprint-pruning totals, which are
 // facts about the finished execution's memory rather than result
 // accounting (they cannot overshoot an early stop).
+func (r *Runner) Run(prog Program, strat Strategy) *Result { return r.run(prog, strat, 0) }
+
+// run is Run with a capacity hint for the step-event log, used only when
+// tracing: the explorers pass the longest log seen so far in their
+// exploration, so a run's log is allocated once instead of growing by
+// doubling from empty. The hint is capped at the step budget. The log is
+// still fresh per run: every Result owns its Events.
 //
 //compass:accounting
-func (r *Runner) Run(prog Program, strat Strategy) *Result {
+func (r *Runner) run(prog Program, strat Strategy, logCap int) *Result {
 	budget := r.Budget
 	if budget <= 0 {
 		budget = 100000
@@ -628,6 +635,9 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 		outcome: map[string]int64{},
 		tracing: r.Trace,
 		por:     por,
+	}
+	if c.tracing && logCap > 0 {
+		c.trace = make([]StepEvent, 0, min(logCap, budget))
 	}
 	if c.por != POROff {
 		c.pending = make([]memory.Access, nw+1)

@@ -230,12 +230,20 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
+	// Each run records its decisions into one of two alternating buffers
+	// while replaying the previous run's trace, cut back and bumped in
+	// place, as its prefix. logCap is the longest step-event log so far.
+	var bufs [2][]Decision
 	var prefix []Decision
+	strat := &TraceStrategy{}
+	logCap := 0
 	res := ExploreResult{}
 	for res.Runs < maxRuns {
 		opts.Stats.PrefixClaimed(len(prefix))
-		strat := &TraceStrategy{prefix: prefix}
-		r := runner.Run(build(), strat)
+		slot := res.Runs % 2
+		strat.prefix, strat.pos, strat.Trace = prefix, 0, bufs[slot][:0]
+		r := runner.run(build(), strat, logCap)
+		logCap = max(logCap, len(r.Events))
 		res.Runs++
 		opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		if !visit(r) {
@@ -244,6 +252,7 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 		}
 		// Backtrack: find the deepest decision with an unexplored branch.
 		trace := strat.Trace
+		bufs[slot] = trace
 		i := len(trace) - 1
 		if opts.MaxDepth > 0 && i >= opts.MaxDepth {
 			i = opts.MaxDepth - 1
@@ -258,8 +267,8 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 			res.Complete = true
 			return res
 		}
-		prefix = append(append([]Decision{}, trace[:i]...),
-			Decision{N: trace[i].N, Pick: trace[i].Pick + 1})
+		trace[i].Pick++
+		prefix = trace[:i+1]
 	}
 	return res
 }
@@ -396,13 +405,21 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
 	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
+	// One decision buffer serves every run: children copy out of it
+	// before they reach the shared frontier. logCap is the longest
+	// step-event log this worker has seen.
+	var buf []Decision
+	strat := &TraceStrategy{}
+	logCap := 0
 	for {
 		prefix, ok := e.next()
 		if !ok {
 			return
 		}
-		strat := &TraceStrategy{prefix: prefix}
-		r := runner.Run(build(), strat)
+		strat.prefix, strat.pos, strat.Trace = prefix, 0, buf[:0]
+		r := runner.run(build(), strat, logCap)
+		logCap = max(logCap, len(r.Events))
+		buf = strat.Trace
 		e.opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		keep := visit(r)
 		var children [][]Decision

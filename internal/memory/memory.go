@@ -425,9 +425,10 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 	base.JoinInto(tv.FRel)
 	if mode.releases() {
 		base.JoinInto(tv.Cur)
-		// The release clock may share storage with the message clock:
-		// neither is ever mutated once published (Disarm only removes IDs
-		// armed after this write, which neither clock can contain).
+		// The release clock shares storage with the message clock. Neither
+		// physical view is written again, and logical views are
+		// copy-on-write: Disarm writes a fresh logical view back into
+		// RelLoc, leaving the message's untouched.
 		tv.RelLoc[l] = base
 	}
 	loc.hist = append(loc.hist, Message{T: t, Val: v, Clk: base, Writer: tv.ID, Step: m.step})
@@ -533,7 +534,7 @@ func (m *Memory) Update(tv *ThreadView, l view.Loc, f UpdateFunc, readMode, writ
 	base.JoinInto(tv.FRel)
 	if writeMode.releases() {
 		base.JoinInto(tv.Cur)
-		tv.RelLoc[l] = base // shared with the message clock; see Write
+		tv.RelLoc[l] = base // shares storage with the message clock; safe as in Write
 	}
 	loc.hist = append(loc.hist, Message{T: t, Val: nv, Clk: base, Writer: tv.ID, Step: m.step, IsRMW: true})
 	tv.Cur.V.Set(l, t)

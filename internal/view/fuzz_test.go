@@ -75,3 +75,111 @@ func FuzzViewOps(f *testing.F) {
 		}
 	})
 }
+
+// fuzzLogEvent maps a byte onto a small event space spread over three
+// object tags, so adds, removes and joins collide often.
+func fuzzLogEvent(b byte) EventID { return MakeEventID(int64(b>>4)%3, int(b&7)) }
+
+// FuzzLogViewOps drives Add/Remove/JoinInto/Join/Clone sequences over a
+// pool of three logical views that share backing arrays (Clone, Join and
+// a join into an empty or smaller view all share), checking every pool
+// member against its map reference after every op. Logical views are
+// copy-on-write, so a write into a shared array would show up here as a
+// change to a view that was not the op's target.
+func FuzzLogViewOps(f *testing.F) {
+	// Each op is four bytes: the op (Add, Remove, JoinInto, Join, Clone),
+	// two pool slots, and an event.
+	for _, seed := range [][]byte{
+		{},
+		// Clone, then add to the clone.
+		{0, 0, 0, 1, 4, 0, 1, 0, 0, 1, 0, 2},
+		// Clone, then remove from the original.
+		{0, 0, 0, 1, 0, 0, 0, 2, 4, 0, 1, 0, 1, 0, 0, 1},
+		// Join into an empty view, then add.
+		{0, 1, 0, 1, 2, 0, 1, 0, 0, 0, 0, 2},
+		// Clone a view grown by three adds, then add to both.
+		{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 4, 0, 1, 0, 0, 1, 0, 5, 0, 0, 0, 6},
+		// Mixed objects, a Join into a third slot, removes and joins.
+		{0, 0, 0, 0x13, 0, 1, 0, 0x25, 3, 0, 1, 2, 1, 2, 0, 0x13, 2, 1, 2, 0, 0, 1, 0, 0x07},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const pool = 3
+		views := make([]LogView, pool)
+		refs := make([]map[EventID]bool, pool)
+		for i := range refs {
+			refs[i] = map[EventID]bool{}
+		}
+		for i := 0; i+3 < len(data); i += 4 {
+			op := data[i] % 5
+			x, y := int(data[i+1])%pool, int(data[i+2])%pool
+			e := fuzzLogEvent(data[i+3])
+			switch op {
+			case 0:
+				views[x].Add(e)
+				refs[x][e] = true
+			case 1:
+				views[x].Remove(e)
+				delete(refs[x], e)
+			case 2:
+				views[x].JoinInto(views[y])
+				refs[x] = refUnion(refs[x], refs[y])
+			case 3: // the result replaces the slot the event byte names
+				z := int(data[i+3]) % pool
+				views[z] = views[x].Join(views[y])
+				refs[z] = refUnion(refs[x], refs[y])
+			case 4:
+				views[y] = views[x].Clone()
+				refs[y] = refUnion(refs[x], nil)
+			}
+			for a := range views {
+				logAgree(t, i/4, a, views[a], refs[a])
+				for b := range views {
+					sub, sup := refSubset(refs[a], refs[b]), refSubset(refs[b], refs[a])
+					if got := views[a].Subset(views[b]); got != sub {
+						t.Fatalf("op %d: Subset(%v, %v) = %v, reference %v", i/4, views[a], views[b], got, sub)
+					}
+					if got := views[a].Equal(views[b]); got != (sub && sup) {
+						t.Fatalf("op %d: Equal(%v, %v) = %v, reference %v", i/4, views[a], views[b], got, sub && sup)
+					}
+				}
+			}
+		}
+	})
+}
+
+func refUnion(a, b map[EventID]bool) map[EventID]bool {
+	u := make(map[EventID]bool, len(a)+len(b))
+	for e := range a {
+		u[e] = true
+	}
+	for e := range b {
+		u[e] = true
+	}
+	return u
+}
+
+func refSubset(a, b map[EventID]bool) bool {
+	for e := range a {
+		if !b[e] {
+			return false
+		}
+	}
+	return true
+}
+
+// logAgree asserts a logical view holds exactly its reference's events,
+// in ascending order.
+func logAgree(t *testing.T, op, slot int, lv LogView, ref map[EventID]bool) {
+	t.Helper()
+	es := lv.Events()
+	if len(es) != len(ref) || lv.Len() != len(ref) {
+		t.Fatalf("op %d: pool[%d] = %v, reference has %d events", op, slot, lv, len(ref))
+	}
+	for i, e := range es {
+		if !ref[e] || !lv.Has(e) || (i > 0 && es[i-1] >= e) {
+			t.Fatalf("op %d: pool[%d] = %v disagrees with its reference at %v", op, slot, lv, e)
+		}
+	}
+}

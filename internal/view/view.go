@@ -8,7 +8,7 @@ package view
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -225,15 +225,18 @@ func (v View) String() string {
 // views ride on physical views: they are attached to memory messages and
 // joined on acquire reads exactly like physical views.
 //
-// The zero value is the empty logical view, ready for use; the backing set
-// is allocated lazily on the first Add/JoinInto, so the (very common)
-// empty logical views carried by memory messages cost nothing. As with
-// View, mutating methods use pointer receivers; use Clone for independent
-// copies.
+// A logical view is stored as an ascending slice of event IDs whose
+// backing array is never written once a view holds it (copy on write).
+// Clone shares the array, and so does a join into a view the operand
+// contains; Add, Remove and a join that grows the set build a fresh one.
+// Copies of a LogView therefore never observe each other's updates, and
+// the (very common) empty logical views carried by memory messages cost
+// nothing. The zero value is the empty logical view, ready for use.
+// Mutating methods use pointer receivers.
 //
 // LogViews form a join-semilattice under set union, ordered by inclusion.
 type LogView struct {
-	m map[EventID]struct{}
+	es []EventID // ascending, no duplicates; the array is never written
 }
 
 // NewLog returns an empty logical view.
@@ -241,92 +244,111 @@ func NewLog() LogView { return LogView{} }
 
 // Has reports whether event e is in the logical view.
 func (lv LogView) Has(e EventID) bool {
-	_, ok := lv.m[e]
+	_, ok := slices.BinarySearch(lv.es, e)
 	return ok
 }
 
 // Add inserts event e into the logical view.
 func (lv *LogView) Add(e EventID) {
-	if lv.m == nil {
-		lv.m = make(map[EventID]struct{}, 4)
+	i, ok := slices.BinarySearch(lv.es, e)
+	if ok {
+		return
 	}
-	lv.m[e] = struct{}{}
+	es := make([]EventID, len(lv.es)+1)
+	copy(es, lv.es[:i])
+	es[i] = e
+	copy(es[i+1:], lv.es[i:])
+	lv.es = es
 }
 
 // Remove deletes event e from the logical view (used to disarm an event
 // whose publishing instruction failed and has therefore leaked nowhere).
-func (lv LogView) Remove(e EventID) { delete(lv.m, e) }
-
-// Len reports the number of events in the logical view.
-func (lv LogView) Len() int { return len(lv.m) }
-
-// Clone returns an independent copy of lv. Iteration order is
-// unobservable: it only populates a set.
-//
-//compass:orderinsensitive
-func (lv LogView) Clone() LogView {
-	if len(lv.m) == 0 {
-		return LogView{}
-	}
-	c := LogView{m: make(map[EventID]struct{}, len(lv.m))}
-	for e := range lv.m {
-		c.m[e] = struct{}{}
-	}
-	return c
-}
-
-// JoinInto unions o into lv in place. Iteration order is unobservable:
-// set union is commutative.
-//
-//compass:orderinsensitive
-func (lv *LogView) JoinInto(o LogView) {
-	if len(o.m) == 0 {
+func (lv *LogView) Remove(e EventID) {
+	i, ok := slices.BinarySearch(lv.es, e)
+	if !ok {
 		return
 	}
-	if lv.m == nil {
-		lv.m = make(map[EventID]struct{}, len(o.m))
-	}
-	for e := range o.m {
-		lv.m[e] = struct{}{}
-	}
+	es := make([]EventID, len(lv.es)-1)
+	copy(es, lv.es[:i])
+	copy(es[i:], lv.es[i+1:])
+	lv.es = es
 }
 
-// Join returns a fresh logical view lv ∪ o.
+// Len reports the number of events in the logical view.
+func (lv LogView) Len() int { return len(lv.es) }
+
+// Clone returns a copy of lv that shares its never-written array.
+func (lv LogView) Clone() LogView { return lv }
+
+// JoinInto unions o into lv in place. When one operand already contains
+// the other, lv ends up sharing the larger one's array, so the join
+// allocates only when the union is strictly larger than both.
+func (lv *LogView) JoinInto(o LogView) {
+	switch {
+	case o.Subset(*lv):
+		return
+	case lv.Subset(o):
+		lv.es = o.es
+		return
+	}
+	a, b := lv.es, o.es
+	es := make([]EventID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			es = append(es, a[i])
+			i++
+		case a[i] > b[j]:
+			es = append(es, b[j])
+			j++
+		default:
+			es = append(es, a[i])
+			i++
+			j++
+		}
+	}
+	es = append(es, a[i:]...)
+	lv.es = append(es, b[j:]...)
+}
+
+// Join returns lv ∪ o, leaving both operands untouched.
 func (lv LogView) Join(o LogView) LogView {
-	c := lv.Clone()
-	c.JoinInto(o)
-	return c
+	lv.JoinInto(o)
+	return lv
 }
 
-// Subset reports whether lv ⊆ o. Iteration order is unobservable: the
-// conjunction of membership tests is order-independent.
-//
-//compass:orderinsensitive
+// Subset reports whether lv ⊆ o, by a merge scan of the two sorted
+// slices.
 func (lv LogView) Subset(o LogView) bool {
-	if len(lv.m) > len(o.m) {
+	a, b := lv.es, o.es
+	if len(a) > len(b) {
 		return false
 	}
-	for e := range lv.m {
-		if !o.Has(e) {
+	if len(a) == 0 || &a[0] == &b[0] { // the shorter is a prefix of one array
+		return true
+	}
+	j := 0
+	for _, e := range a {
+		for j < len(b) && b[j] < e {
+			j++
+		}
+		if j == len(b) || b[j] != e {
 			return false
 		}
+		j++
 	}
 	return true
 }
 
 // Equal reports whether lv and o contain exactly the same events.
-func (lv LogView) Equal(o LogView) bool { return lv.Subset(o) && o.Subset(lv) }
+func (lv LogView) Equal(o LogView) bool { return slices.Equal(lv.es, o.es) }
 
-// Events returns the member event IDs in ascending order. Iteration
-// order is unobservable: the collected keys are sorted before return.
-//
-//compass:orderinsensitive
+// Events returns the member event IDs in ascending order, in a fresh
+// slice the caller may modify.
 func (lv LogView) Events() []EventID {
-	es := make([]EventID, 0, len(lv.m))
-	for e := range lv.m {
-		es = append(es, e)
-	}
-	sort.Slice(es, func(i, j int) bool { return es[i] < es[j] })
+	es := make([]EventID, len(lv.es))
+	copy(es, lv.es)
 	return es
 }
 
@@ -335,7 +357,7 @@ func (lv LogView) Events() []EventID {
 func (lv LogView) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, e := range lv.Events() {
+	for i, e := range lv.es {
 		if i > 0 {
 			b.WriteString(", ")
 		}

@@ -267,3 +267,37 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("LogView.String = %q, want %q", got, want)
 	}
 }
+
+var (
+	sinkLog  LogView
+	sinkBool bool
+)
+
+// TestLogViewReadsDoNotAllocate: the logical-view operations on the
+// machine's hot path share or scan never-written arrays, so none of them
+// allocates — including a join whose operand adds nothing.
+func TestLogViewReadsDoNotAllocate(t *testing.T) {
+	var big, twin, small LogView
+	for i := 0; i < 16; i++ {
+		big.Add(MakeEventID(1, i))
+		twin.Add(MakeEventID(1, i))
+		if i%3 == 0 {
+			small.Add(MakeEventID(1, i))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"Clone", func() { sinkLog = big.Clone() }},
+		{"Has", func() { sinkBool = big.Has(MakeEventID(1, 9)) }},
+		{"Subset", func() { sinkBool = small.Subset(big) }},
+		{"Equal", func() { sinkBool = big.Equal(twin) }},
+		{"JoinInto of a subset", func() { lv := twin; lv.JoinInto(small); sinkLog = lv }},
+		{"JoinInto of a superset", func() { lv := small; lv.JoinInto(big); sinkLog = lv }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", tc.name, n)
+		}
+	}
+}
