@@ -201,7 +201,7 @@ func (c *controller) appendDedupState(buf []byte) []byte {
 	o := c.mem.CanonicalOrder()
 	buf = c.mem.AppendCanon(buf, o)
 	for tid, t := range c.threads {
-		if t.tv == nil {
+		if c.state[tid] == unstarted { // no view forked yet
 			buf = append(buf, 0)
 		} else {
 			buf = append(buf, 1)

@@ -1,9 +1,13 @@
 package machine
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"testing"
+
+	"compass/internal/memory"
+	"compass/internal/view"
 )
 
 // TestTracedExploreAllocatesOneLogPerRun: every SB run takes the same
@@ -26,6 +30,45 @@ func TestTracedExploreAllocatesOneLogPerRun(t *testing.T) {
 	if extra := traced - untraced; extra > float64(all-1) {
 		t.Fatalf("runs 2..%d allocate %v times traced, %v untraced: %v extra arrays, want at most %d",
 			all, traced, untraced, extra, all-1)
+	}
+}
+
+// TestExploreRunAllocsIndependentOfSetup: the explorers recycle one
+// machine, so after the first run a run allocates the same whether its
+// setup allocates 1 location or 32. Race builds run thread bodies on
+// goroutines, whose runtime allocations vary by a fraction of an
+// allocation per run, so the averages may differ by less than one.
+func TestExploreRunAllocsIndependentOfSetup(t *testing.T) {
+	perRun := func(n int) float64 {
+		build := func() Program {
+			locs := make([]view.Loc, n)
+			return Program{
+				Setup: func(th *Thread) {
+					for i := range locs {
+						locs[i] = th.Alloc("x", 0)
+					}
+				},
+				Workers: []func(*Thread){
+					func(th *Thread) { th.Write(locs[0], 1, memory.Rel) },
+					func(th *Thread) { th.Write(locs[0], 2, memory.NA) },
+					func(th *Thread) { th.Read(locs[0], memory.Acq) },
+				},
+			}
+		}
+		all := Explore(build, ExploreOpts{}, func(*Result) bool { return true }).Runs
+		if all < 4 {
+			t.Fatalf("the program explores %d runs; the test needs several", all)
+		}
+		allocs := func(runs int) float64 {
+			opts := ExploreOpts{MaxRuns: runs}
+			return testing.AllocsPerRun(5, func() {
+				Explore(build, opts, func(*Result) bool { return true })
+			})
+		}
+		return (allocs(all) - allocs(1)) / float64(all-1)
+	}
+	if one, many := perRun(1), perRun(32); math.Abs(many-one) >= 1 {
+		t.Fatalf("a run after the first allocates %v times with 1 setup location, %v with 32", one, many)
 	}
 }
 

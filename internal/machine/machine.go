@@ -5,12 +5,13 @@
 // nondeterminism: which thread steps next, and which visible message a
 // relaxed/acquire read observes.
 //
-// Each thread runs as a coroutine (iter.Pull) that yields the memory
-// access it is about to perform and then waits for a grant. The scheduler
-// resumes one coroutine at a time and runs only while that coroutine is
-// suspended, so the shared memory needs no locking and executions are
-// deterministic functions of the strategy's decisions (enabling replay and
-// exhaustive exploration).
+// Each thread runs as a coroutine (iter.Pull) that announces the memory
+// access it is about to perform and then decides the next grant itself:
+// it keeps running when the grant is its own and yields when another
+// thread's coroutine has to run. One coroutine runs at a time, so the
+// shared memory needs no locking and executions are deterministic
+// functions of the strategy's decisions (enabling replay and exhaustive
+// exploration).
 package machine
 
 import (
@@ -83,13 +84,19 @@ func (s Status) String() string {
 type Result struct {
 	Status  Status
 	Err     error
-	Mem     *memory.Memory
 	Steps   int
 	Outcome map[string]int64 // values reported by Thread.Report
 	// Events is the typed per-step operation log (only when Runner.Trace
 	// is set). Use Trace() for the legacy string rendering.
-	Events []StepEvent
+	Events    []StepEvent
+	decisions []Decision // see Decisions
 }
+
+// Decisions returns the decision sequence of a run an explorer made (nil
+// for Runner.Run), which ReplayStrategy replays. It is valid only while
+// the explorer visits the result: the explorer reuses the array for its
+// next run, so a visit that keeps it must copy it.
+func (r *Result) Decisions() []Decision { return r.decisions }
 
 // Trace renders the recorded events as the legacy human-readable
 // per-step lines (one string per traced operation).
@@ -146,10 +153,10 @@ type Thread struct {
 	id int
 	tv *memory.ThreadView
 	mc *controller
-	// The thread's coroutine: the body announces its steps through yield;
-	// the controller grants them with next and tears down with stop.
-	yield func(memory.Access) bool
-	next  func() (memory.Access, bool)
+	// The thread's coroutine: the body suspends through yield, the
+	// controller resumes it with next and tears it down with stop.
+	yield func(struct{}) bool
+	next  func() (struct{}, bool)
 	stop  func()
 }
 
@@ -160,12 +167,26 @@ func (t *Thread) ID() int { return t.id }
 // recorder to snapshot and extend clocks at commit points).
 func (t *Thread) TV() *memory.ThreadView { return t.tv }
 
-// step yields op, the operation the thread will perform once granted, and
-// suspends the thread until the scheduler grants it. Under partial-order
-// reduction the controller consults op to decide which pending steps
-// commute.
+// step parks the thread with op, the operation it will perform once
+// granted, and returns when the thread holds the grant. While the
+// controller is scheduling, the thread decides the next grant itself: if
+// the grant is its own, step returns with no coroutine switch; otherwise
+// (another thread is granted, or the grant ended the run) the thread
+// yields until it is resumed. A thread being started just yields at its
+// first step. Under partial-order reduction the grant consults op to
+// decide which pending steps commute.
 func (t *Thread) step(op memory.Access) {
-	if !t.yield(op) {
+	c := t.mc
+	c.state[t.id] = parked
+	if c.por != POROff {
+		c.pending[t.id] = op
+	}
+	if c.scheduling {
+		if c.granted = c.grant(); c.granted == t.id {
+			return
+		}
+	}
+	if !t.yield(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -401,6 +422,11 @@ type controller struct {
 	outcome map[string]int64
 	trace   []StepEvent // per-step op log (only when tracing is enabled)
 	tracing bool
+	// scheduling is set while schedule runs the parked threads: a
+	// thread's step then decides the next grant, and leaves the granted
+	// thread, or -1 when the run ended, in granted.
+	scheduling bool
+	granted    int
 	// How the execution ended, once ended is set.
 	ended  bool
 	status Status
@@ -591,79 +617,34 @@ type Runner struct {
 
 // Run executes prog under the given strategy and returns the result.
 //
-// Every thread body runs as a coroutine that Run resumes one step at a
-// time: main's setup alone, then the workers under the strategy, then
-// main's final phase after it joins the workers' views. Run stops every
-// coroutine it started before it returns. A panic in a thread body other
-// than an execution abort (Failf, a race, a footprint violation), such as
-// a bug in the program or an out-of-range Strategy.Choose, is re-raised
-// by Run in the caller's goroutine after the other threads are stopped.
-// Run also records the per-execution footprint-pruning totals, which are
-// facts about the finished execution's memory rather than result
-// accounting (they cannot overshoot an early stop).
-func (r *Runner) Run(prog Program, strat Strategy) *Result { return r.run(prog, strat, 0) }
+// Every thread body runs as a coroutine: main's setup alone, then the
+// workers under the strategy, then main's final phase after it joins the
+// workers' views. Run stops every coroutine it started before it
+// returns. A panic in a thread body other than an execution abort
+// (Failf, a race, a footprint violation), such as a bug in the program or
+// an out-of-range Strategy.Choose, is re-raised by Run in the caller's
+// goroutine after the other threads are stopped, and so is a panic in
+// the strategy. Each call builds its own machine, so concurrent calls
+// may share a Runner. Run also records the per-execution
+// footprint-pruning totals, which are facts about the finished
+// execution's memory rather than result accounting (they cannot
+// overshoot an early stop).
+func (r *Runner) Run(prog Program, strat Strategy) *Result {
+	return r.run(new(controller), prog, strat, 0)
+}
 
-// run is Run with a capacity hint for the step-event log, used only when
-// tracing: the explorers pass the longest log seen so far in their
-// exploration, so a run's log is allocated once instead of growing by
-// doubling from empty. The hint is capped at the step budget. The log is
-// still fresh per run: every Result owns its Events.
+// run is Run on the machine c, which it resets first: the explorers pass
+// the one they keep for all their runs, so a run reuses the memory,
+// thread views and buffers of the run before it. logCap is a capacity
+// hint for the step-event log, used only when tracing: the explorers
+// pass the longest log seen so far in their exploration, so a run's log
+// is allocated once instead of growing by doubling from empty. The hint
+// is capped at the step budget. The log is still fresh per run: every
+// Result owns its Events.
 //
 //compass:accounting
-func (r *Runner) run(prog Program, strat Strategy, logCap int) *Result {
-	budget := r.Budget
-	if budget <= 0 {
-		budget = 100000
-	}
-	nw := len(prog.Workers)
-	por := r.POR
-	if por != POROff && nw+1 > 64 {
-		// The sleep set is a 64-bit mask: too many threads means running
-		// unreduced. Formerly silent; now counted and warned about once.
-		por = POROff
-		r.Stats.PORDisabled()
-		porFallbackWarn(nw + 1)
-	}
-	c := &controller{
-		mem:     memory.New(),
-		strat:   strat,
-		stats:   r.Stats,
-		reads:   readChooser{strat: strat, stats: r.Stats},
-		threads: make([]*Thread, nw+1),
-		state:   make([]lifecycle, nw+1),
-		budget:  budget,
-		outcome: map[string]int64{},
-		tracing: r.Trace,
-		por:     por,
-	}
-	if c.tracing && logCap > 0 {
-		c.trace = make([]StepEvent, 0, min(logCap, budget))
-	}
-	if c.por != POROff {
-		c.pending = make([]memory.Access, nw+1)
-		c.awake = make([]int, 0, nw+1)
-	}
-	if c.por == PORSource {
-		c.floors = make([]view.Time, nw+1)
-		if r.Plan != nil && (prog.Name == "" || r.Plan.Program == prog.Name) {
-			c.plan = memory.NewPlanOracle(r.Plan, c.mem)
-		}
-	}
-	if r.Dedup != nil {
-		if fd, ok := strat.(freeDecider); ok {
-			c.free = fd
-			c.dedup = r.Dedup
-			c.opHist = make([][2]uint64, nw+1)
-		}
-	}
-	if r.Footprint != nil {
-		c.mem.Certify(r.Footprint)
-	}
-	c.threads[0] = &Thread{id: 0, tv: memory.NewThreadView(0), mc: c}
-	for i := 1; i <= nw; i++ {
-		c.threads[i] = &Thread{id: i, mc: c} // tv forked at spawn
-		c.state[i] = unstarted
-	}
+func (r *Runner) run(c *controller, prog Program, strat Strategy, logCap int) *Result {
+	c.reset(r, prog, strat, logCap)
 	defer c.stopAll()
 	c.run(prog)
 
@@ -673,7 +654,93 @@ func (r *Runner) run(prog Program, strat Strategy, logCap int) *Result {
 		// (wakes) this run's wakeup bookkeeping carried.
 		c.stats.PORRunWakeups(c.wakes)
 	}
-	return &Result{Status: c.status, Err: c.err, Mem: c.mem, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
+	return &Result{Status: c.status, Err: c.err, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
+}
+
+// reset prepares c to run prog under strat for r. A fresh controller and
+// a recycled one take this one path: every field a run reads is set here,
+// while the memory, the threads with their views, and the per-thread and
+// scratch buffers keep their storage from the run before. The outcome
+// map and the step-event log are fresh, because the Result takes them.
+//
+//compass:accounting
+func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) {
+	n := len(prog.Workers) + 1
+	por := r.POR
+	if por != POROff && n > 64 {
+		// The sleep set is a 64-bit mask: too many threads means running
+		// unreduced. Formerly silent; now counted and warned about once.
+		por = POROff
+		r.Stats.PORDisabled()
+		porFallbackWarn(n)
+	}
+	if c.mem == nil {
+		c.mem = memory.New()
+	} else {
+		c.mem.Reset()
+	}
+	if r.Footprint != nil {
+		c.mem.Certify(r.Footprint)
+	}
+	c.strat, c.stats = strat, r.Stats
+	c.reads = readChooser{strat: strat, stats: r.Stats}
+	for len(c.threads) < n {
+		id := len(c.threads)
+		c.threads = append(c.threads, &Thread{id: id, tv: memory.NewThreadView(id), mc: c})
+	}
+	c.threads = c.threads[:n]
+	for _, t := range c.threads {
+		t.tv.Reset(t.id) // a worker's view is forked from main's at spawn
+		t.yield, t.next, t.stop = nil, nil, nil
+	}
+	c.state = zeroed(c.state, n, true)
+	for i := 1; i < n; i++ {
+		c.state[i] = unstarted
+	}
+	c.steps, c.budget = 0, r.Budget
+	if c.budget <= 0 {
+		c.budget = 100000
+	}
+	c.outcome = map[string]int64{}
+	c.trace, c.tracing = nil, r.Trace
+	if c.tracing && logCap > 0 {
+		c.trace = make([]StepEvent, 0, min(logCap, c.budget))
+	}
+	c.scheduling, c.granted = false, 0
+	c.ended, c.status, c.err = false, OK, nil
+
+	c.por, c.sleep, c.doneMask, c.wakes = por, 0, 0, 0
+	c.pending = zeroed(c.pending, n, por != POROff)
+	c.floors = zeroed(c.floors, n, por == PORSource)
+	if por != POROff && cap(c.awake) < n {
+		c.awake = make([]int, 0, n)
+	}
+	c.plan = nil
+	if por == PORSource && r.Plan != nil && (prog.Name == "" || r.Plan.Program == prog.Name) {
+		c.plan = memory.NewPlanOracle(r.Plan, c.mem)
+	}
+	c.dedup, c.free = nil, nil
+	if r.Dedup != nil {
+		if fd, ok := strat.(freeDecider); ok {
+			c.free, c.dedup = fd, r.Dedup
+		}
+	}
+	c.opHist = zeroed(c.opHist, n, c.dedup != nil)
+	c.locCanon = c.locCanon[:0]
+}
+
+// zeroed returns s with n zero elements, reusing its array when it is
+// large enough, or nil when the run does not use it.
+func zeroed[T any](s []T, n int, use bool) []T {
+	switch {
+	case !use:
+		return nil
+	case cap(s) < n:
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // run drives the execution to its end: setup, spawn, the worker
@@ -693,11 +760,12 @@ func (c *controller) run(prog Program) {
 		return
 	}
 	// Spawn: main blocks until the join, and the workers start one at a
-	// time in thread order with views forked from main's. Each runs alone
-	// up to its first step, so starting adds no decision points.
+	// time in thread order with views forked from main's (joined into
+	// their reset views). Each runs alone up to its first step, so
+	// starting adds no decision points.
 	c.state[0] = blocked
 	for i, w := range workers {
-		w.tv = main.tv.Fork(w.id)
+		w.tv.JoinClock(main.tv.Cur)
 		if c.start(w, prog.Workers[i]); c.ended {
 			return
 		}
@@ -720,7 +788,7 @@ func (c *controller) run(prog Program) {
 // first step. The coroutine wrapper records an abort as the end of the
 // execution; any other panic reaches Run's caller through next.
 func (c *controller) start(t *Thread, body func(*Thread)) {
-	t.next, t.stop = pull(func(yield func(memory.Access) bool) {
+	t.next, t.stop = pull(func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer func() {
 			switch p := recover().(type) {
@@ -736,73 +804,92 @@ func (c *controller) start(t *Thread, body func(*Thread)) {
 	c.resume(t)
 }
 
-// resume runs thread t alone until it yields its next step or its body
-// returns.
-func (c *controller) resume(t *Thread) {
-	op, ok := t.next()
-	if ok {
-		c.state[t.id] = parked
-		if c.por != POROff {
-			c.pending[t.id] = op
-		}
-		return
+// resume runs thread t until it yields or its body returns, and reports
+// whether it yielded.
+func (c *controller) resume(t *Thread) bool {
+	if _, ok := t.next(); ok {
+		return true
 	}
 	c.state[t.id] = done
 	if c.por != POROff && t.id != 0 {
 		// Main's setup ends here too, but main only finishes with the run.
 		c.doneMask |= 1 << uint(t.id)
 	}
+	return false
 }
 
-// schedule grants steps to the parked threads, one at a time, until no
-// thread is parked. It reports whether the execution has ended.
+// schedule runs the parked threads until none is parked, and reports
+// whether the execution has ended. It decides a grant itself only at the
+// start and after a body returns; a thread that yields has decided the
+// next grant in its own step.
 func (c *controller) schedule() bool {
-	for !c.ended {
-		runnable := c.runnable()
-		if len(runnable) == 0 {
-			return false
+	c.scheduling = true
+	for g := c.grant(); g >= 0; {
+		if c.resume(c.threads[g]) {
+			g = c.granted
+		} else {
+			g = c.grant()
 		}
-		cand := runnable
-		if c.por != POROff {
-			if cand = c.porCandidates(runnable); cand == nil {
-				c.end(Pruned, nil)
-				break
-			}
-			if c.por == PORSource && len(cand) > 1 {
-				if i := c.forceInvisible(cand); i >= 0 {
-					cand = cand[i : i+1]
-				}
-			}
-		}
-		if c.dedup != nil && c.free.FreeDecisions() {
-			// Fingerprint the state at every free scheduling decision —
-			// prefix-pinned decisions were claimed by the run that pushed
-			// the prefix, so checking only free ones keeps the set of
-			// checked points a deterministic function of each decision
-			// path (and therefore run counts identical serial vs parallel).
-			c.canonBuf = c.appendDedupState(c.canonBuf[:0])
-			if c.dedup.checkAndMark(c.canonBuf, c.stats) {
-				c.end(Deduped, nil)
-				break
-			}
-		}
-		idx := 0
-		if len(cand) > 1 {
-			idx = c.strat.PickThread(cand)
-		}
-		pick := cand[idx]
-		if c.por != POROff {
-			c.porCommit(cand, idx)
-		}
-		c.stats.ThreadPick(pick)
-		c.steps++
-		if c.steps > c.budget {
-			c.end(Budget, errBudget)
-			break
-		}
-		c.resume(c.threads[pick])
 	}
-	return true
+	c.scheduling = false
+	return c.ended
+}
+
+// grant decides the next step among the parked threads and returns the
+// granted thread, or -1 when no thread is parked or the execution has
+// ended. Under POR it grants only threads not asleep (cutting the run as
+// Pruned when all are), forcing an invisible step if there is one; with
+// dedup armed it first fingerprints the state (cutting the run as
+// Deduped on a repeat); it asks the strategy only when more than one
+// candidate remains, and it cuts the run as Budget once the step budget
+// is spent.
+func (c *controller) grant() int {
+	if c.ended {
+		return -1
+	}
+	runnable := c.runnable()
+	if len(runnable) == 0 {
+		return -1
+	}
+	cand := runnable
+	if c.por != POROff {
+		if cand = c.porCandidates(runnable); cand == nil {
+			c.end(Pruned, nil)
+			return -1
+		}
+		if c.por == PORSource && len(cand) > 1 {
+			if i := c.forceInvisible(cand); i >= 0 {
+				cand = cand[i : i+1]
+			}
+		}
+	}
+	if c.dedup != nil && c.free.FreeDecisions() {
+		// Fingerprint the state at every free scheduling decision —
+		// prefix-pinned decisions were claimed by the run that pushed
+		// the prefix, so checking only free ones keeps the set of
+		// checked points a deterministic function of each decision
+		// path (and therefore run counts identical serial vs parallel).
+		c.canonBuf = c.appendDedupState(c.canonBuf[:0])
+		if c.dedup.checkAndMark(c.canonBuf, c.stats) {
+			c.end(Deduped, nil)
+			return -1
+		}
+	}
+	idx := 0
+	if len(cand) > 1 {
+		idx = c.strat.PickThread(cand)
+	}
+	pick := cand[idx]
+	if c.por != POROff {
+		c.porCommit(cand, idx)
+	}
+	c.stats.ThreadPick(pick)
+	c.steps++
+	if c.steps > c.budget {
+		c.end(Budget, errBudget)
+		return -1
+	}
+	return pick
 }
 
 // runnable lists the parked threads in thread order, in a buffer reused

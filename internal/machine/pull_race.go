@@ -2,11 +2,7 @@
 
 package machine
 
-import (
-	"iter"
-
-	"compass/internal/memory"
-)
+import "iter"
 
 // pull is iter.Pull rebuilt on a goroutine and two channels, for race
 // detector builds only. Go's race runtime never releases the state of a
@@ -18,9 +14,8 @@ import (
 // returns once the body has exited.
 //
 //compass:scheduler
-func pull(seq iter.Seq[memory.Access]) (func() (memory.Access, bool), func()) {
+func pull(seq iter.Seq[struct{}]) (func() (struct{}, bool), func()) {
 	type event struct {
-		op        memory.Access
 		ok        bool // false once seq has returned
 		recovered any  // the value seq panicked with
 	}
@@ -32,8 +27,8 @@ func pull(seq iter.Seq[memory.Access]) (func() (memory.Access, bool), func()) {
 			last.recovered = recover()
 			events <- last
 		}()
-		seq(func(op memory.Access) bool {
-			events <- event{op: op, ok: true}
+		seq(func(struct{}) bool {
+			events <- event{ok: true}
 			return <-resume
 		})
 	}
@@ -41,10 +36,10 @@ func pull(seq iter.Seq[memory.Access]) (func() (memory.Access, bool), func()) {
 	// finds the caller already waiting: the caller resumes only after the
 	// goroutine blocks again or, at the end, has exited (on one P).
 	var started, finished bool
-	handoff := func(run bool) (memory.Access, bool) {
+	handoff := func(run bool) (struct{}, bool) {
 		if finished || !started && !run {
 			finished = true
-			return memory.Access{}, false
+			return struct{}{}, false
 		}
 		if started {
 			resume <- run
@@ -57,7 +52,7 @@ func pull(seq iter.Seq[memory.Access]) (func() (memory.Access, bool), func()) {
 		if e.recovered != nil {
 			panic(e.recovered)
 		}
-		return e.op, e.ok
+		return struct{}{}, e.ok
 	}
-	return func() (memory.Access, bool) { return handoff(true) }, func() { handoff(false) }
+	return func() (struct{}, bool) { return handoff(true) }, func() { handoff(false) }
 }

@@ -230,9 +230,11 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
-	// Each run records its decisions into one of two alternating buffers
-	// while replaying the previous run's trace, cut back and bumped in
-	// place, as its prefix. logCap is the longest step-event log so far.
+	// Every run reuses one machine (see Runner.run). Each run records its
+	// decisions into one of two alternating buffers while replaying the
+	// previous run's trace, cut back and bumped in place, as its prefix.
+	// logCap is the longest step-event log so far.
+	c := new(controller)
 	var bufs [2][]Decision
 	var prefix []Decision
 	strat := &TraceStrategy{}
@@ -242,7 +244,8 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 		opts.Stats.PrefixClaimed(len(prefix))
 		slot := res.Runs % 2
 		strat.prefix, strat.pos, strat.Trace = prefix, 0, bufs[slot][:0]
-		r := runner.run(build(), strat, logCap)
+		r := runner.run(c, build(), strat, logCap)
+		r.decisions = strat.Trace
 		logCap = max(logCap, len(r.Events))
 		res.Runs++
 		opts.Stats.ExecDone(uint8(r.Status), r.Steps)
@@ -405,9 +408,11 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
 	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
-	// One decision buffer serves every run: children copy out of it
-	// before they reach the shared frontier. logCap is the longest
-	// step-event log this worker has seen.
+	// One machine serves every run of this worker (see Runner.run), and
+	// one decision buffer: children copy out of it before they reach the
+	// shared frontier. logCap is the longest step-event log this worker
+	// has seen.
+	c := new(controller)
 	var buf []Decision
 	strat := &TraceStrategy{}
 	logCap := 0
@@ -417,7 +422,8 @@ func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool
 			return
 		}
 		strat.prefix, strat.pos, strat.Trace = prefix, 0, buf[:0]
-		r := runner.run(build(), strat, logCap)
+		r := runner.run(c, build(), strat, logCap)
+		r.decisions = strat.Trace
 		logCap = max(logCap, len(r.Events))
 		buf = strat.Trace
 		e.opts.Stats.ExecDone(uint8(r.Status), r.Steps)

@@ -87,6 +87,19 @@ type badChooser struct{}
 func (badChooser) PickThread([]int) int { return 0 }
 func (badChooser) Choose(n int) int     { return n }
 
+// badPicker panics at its second scheduling decision, which a thread
+// makes on its own coroutine after the first grant: the strategy's panic
+// must still surface from Run.
+type badPicker struct{ picks int }
+
+func (b *badPicker) PickThread([]int) int {
+	if b.picks++; b.picks > 1 {
+		panic("bad pick")
+	}
+	return 0
+}
+func (*badPicker) Choose(int) int { return 0 }
+
 // TestRunPropagatesPanics: a panic that is not an execution abort — a
 // bug in a thread body or an invalid strategy answer — surfaces from Run
 // in the caller's goroutine, after every other thread has been stopped.
@@ -115,6 +128,9 @@ func TestRunPropagatesPanics(t *testing.T) {
 				spin,
 			},
 		}, badChooser{}, "machine: strategy chose 2 of 2"},
+		{"thread pick", Program{
+			Workers: []func(*Thread){spin, spin},
+		}, &badPicker{}, "bad pick"},
 	} {
 		got := func() (p any) {
 			defer func() { p = recover() }()

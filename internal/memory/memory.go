@@ -141,6 +141,35 @@ type location struct {
 
 func (l *location) maxT() view.Time { return view.Time(len(l.hist)) }
 
+// reset makes l a fresh location named name, keeping its history array
+// and the arrays of its NA read view and old messages (see newClock).
+// The read view is emptied even though hasRead is cleared: the canonical
+// encoding reads it either way.
+func (l *location) reset(name string) {
+	l.name = name
+	l.hist = l.hist[:0]
+	l.readView.Reset()
+	l.hasRead = false
+	l.freed = false
+}
+
+// newClock returns an empty clock with room for w locations, for the
+// message l appends next. When the history array was kept from an
+// earlier execution (see Memory.Reset), that slot still holds an old
+// message, and its physical view array is reused if it is wide enough.
+// Nothing else can hold that array: a message's view is referenced only
+// by the message and by its writer's RelLoc entry, and both died with
+// the execution that wrote it.
+func (l *location) newClock(w int) view.Clock {
+	if n := len(l.hist); n < cap(l.hist) {
+		if v := l.hist[:n+1][n].Clk.V; v.Cap() >= w {
+			v.Reset()
+			return view.Clock{V: v}
+		}
+	}
+	return view.NewClockCap(w)
+}
+
 func (l *location) last() *Message { return &l.hist[len(l.hist)-1] }
 
 // Memory is the shared state of the machine: all allocated locations plus
@@ -163,6 +192,17 @@ type Memory struct {
 
 // New returns an empty memory.
 func New() *Memory { return &Memory{sc: view.NewClock()} }
+
+// Reset empties m for another execution, leaving it as New returns it
+// (no locations, step 0, bottom SC clock, no footprint certificate) but
+// keeping its storage: Alloc reuses the location structs with their
+// history arrays, and writes reuse the old messages' view arrays.
+func (m *Memory) Reset() {
+	m.locs = m.locs[:0]
+	m.step = 0
+	m.sc.Reset()
+	m.fp, m.sealed, m.prunedReads, m.raceSkips = nil, false, 0, 0
+}
 
 // Step returns the number of memory events executed so far.
 func (m *Memory) Step() int { return m.step }
@@ -215,6 +255,17 @@ func NewThreadView(id int) *ThreadView {
 	}
 }
 
+// Reset returns tv to the bottom state NewThreadView(id) starts from,
+// keeping its clock arrays and its emptied RelLoc map. The arrays are
+// never shared: Fork, the recorder and the message clocks all copy them.
+func (tv *ThreadView) Reset(id int) {
+	tv.ID = id
+	tv.Cur.Reset()
+	tv.Acq.Reset()
+	tv.FRel.Reset()
+	clear(tv.RelLoc)
+}
+
 // Fork returns a thread view for a newly spawned thread that inherits the
 // parent's current clock (thread creation synchronizes, as in C11/pthreads).
 func (tv *ThreadView) Fork(childID int) *ThreadView {
@@ -238,13 +289,19 @@ func (tv *ThreadView) JoinClock(c view.Clock) {
 func (m *Memory) Alloc(tv *ThreadView, name string, init int64) view.Loc {
 	l := view.Loc(len(m.locs))
 	m.step++
-	clk := view.NewClockCap(int(l) + 1)
+	var loc *location
+	if int(l) < cap(m.locs) {
+		loc = m.locs[:l+1][l] // kept by Reset, or nil
+	}
+	if loc == nil {
+		loc = new(location)
+	}
+	loc.reset(name)
+	clk := loc.newClock(int(l) + 1)
 	clk.JoinInto(tv.Cur)
 	clk.V.Set(l, 1)
-	m.locs = append(m.locs, &location{
-		name: name,
-		hist: []Message{{T: 1, Val: init, Clk: clk, Writer: tv.ID, Step: m.step}},
-	})
+	loc.hist = append(loc.hist, Message{T: 1, Val: init, Clk: clk, Writer: tv.ID, Step: m.step})
+	m.locs = append(m.locs, loc)
 	tv.Cur.V.Set(l, 1)
 	tv.Acq.V.Set(l, 1)
 	return l
@@ -302,10 +359,7 @@ func (m *Memory) ReadFloored(tv *ThreadView, l view.Loc, mode Mode, ch Chooser, 
 		msg := loc.last()
 		// Record the reader's view so a future na write can check that it
 		// happens-after this read.
-		if !loc.hasRead {
-			loc.readView = view.New()
-			loc.hasRead = true
-		}
+		loc.hasRead = true
 		loc.readView.JoinInto(tv.Cur.V)
 		return msg.Val, nil
 	}
@@ -375,7 +429,8 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 					"writer view t=%d does not saturate certified history t=%d", got, loc.maxT())}
 			}
 			m.raceSkips++
-			clk := tv.Cur.Clone()
+			clk := loc.newClock(tv.Cur.V.Width())
+			clk.JoinInto(tv.Cur)
 			clk.V.Set(l, t)
 			loc.hist = append(loc.hist, Message{T: t, Val: v, Clk: clk, Writer: tv.ID, Step: m.step})
 			tv.Cur.V.Set(l, t)
@@ -391,7 +446,8 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 			return &RaceError{Loc: l, Name: loc.name, Kind: "write", Thread: tv.ID,
 				Detail: "a previous na read does not happen-before this write"}
 		}
-		clk := tv.Cur.Clone()
+		clk := loc.newClock(tv.Cur.V.Width())
+		clk.JoinInto(tv.Cur)
 		clk.V.Set(l, t)
 		loc.hist = append(loc.hist, Message{T: t, Val: v, Clk: clk, Writer: tv.ID, Step: m.step})
 		tv.Cur.V.Set(l, t)
@@ -417,7 +473,7 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 	if mode.releases() && tv.Cur.V.Width() > w {
 		w = tv.Cur.V.Width()
 	}
-	base := view.NewClockCap(w) // one allocation covers every join below
+	base := loc.newClock(w) // at most one allocation covers every join below
 	base.V.Set(l, t)
 	if hasRL {
 		base.JoinInto(rl)
@@ -525,7 +581,7 @@ func (m *Memory) Update(tv *ThreadView, l view.Loc, f UpdateFunc, readMode, writ
 	if writeMode.releases() && tv.Cur.V.Width() > w {
 		w = tv.Cur.V.Width()
 	}
-	base := view.NewClockCap(w)
+	base := loc.newClock(w)
 	base.V.Set(l, t)
 	base.JoinInto(msg.Clk) // release sequence through RMW
 	if hasRL {

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"compass/internal/telemetry"
 )
 
 // decodeEnvelope asserts a non-2xx response carries the uniform
@@ -300,4 +303,65 @@ func TestHTTPV1LeaseRoundTrip(t *testing.T) {
 	if v := j.View(); v.Status != StatusDone {
 		t.Fatalf("status %s (err %q), want done", v.Status, v.Error)
 	}
+}
+
+// TestFinishedJobSubscribersLeaveNothing: every subscription to a
+// finished job, direct or over /v1/jobs/{id}/events, delivers one final
+// snapshot and closes, and the job keeps no listener for any of them.
+func TestFinishedJobSubscribersLeaveNothing(t *testing.T) {
+	t.Parallel()
+	srv, m := newTestServer(t)
+	j, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s did not finish", j.ID)
+	}
+	want := j.stats.Snapshot()
+	listeners := func() int {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return len(j.subs)
+	}
+	for i := 0; i < 50; i++ {
+		ch, cancel := j.Subscribe()
+		var got []telemetry.Snapshot
+		for snap := range ch {
+			got = append(got, snap)
+		}
+		cancel()
+		if len(got) != 1 || got[0].Schema != want.Schema || got[0].Explore.Prefixes != want.Explore.Prefixes {
+			t.Fatalf("subscription %d delivered %d snapshots, want the final one", i, len(got))
+		}
+	}
+	if n := listeners(); n != 0 {
+		t.Fatalf("finished job holds %d listeners after 50 direct subscriptions", n)
+	}
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(readAll(t, resp)), "\n")
+		var snap telemetry.Snapshot
+		if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &snap) != nil || snap.Schema != want.Schema {
+			t.Fatalf("events stream %d: %d lines, want one final snapshot", i, len(lines))
+		}
+	}
+	if n := listeners(); n != 0 {
+		t.Fatalf("finished job holds %d listeners after 20 event streams", n)
+	}
+}
+
+func readAll(t *testing.T, resp *http.Response) string {
+	t.Helper()
+	defer resp.Body.Close()
+	var b strings.Builder
+	if _, err := io.Copy(&b, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }

@@ -144,23 +144,27 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Subscribe registers an event listener: one telemetry snapshot per
 // completed segment (buffered; a slow listener drops intermediate
-// snapshots, never blocks the job). cancel unregisters.
+// snapshots, never blocks the job). cancel unregisters. A listener on a
+// finished job is not registered: it gets a closed channel holding one
+// final snapshot, so late subscribers still observe the job's totals and
+// the job keeps nothing for them.
 func (j *Job) Subscribe() (ch <-chan telemetry.Snapshot, cancel func()) {
-	c := make(chan telemetry.Snapshot, 16)
 	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = map[chan telemetry.Snapshot]struct{}{}
-	}
-	j.subs[c] = struct{}{}
-	terminal := j.status == StatusDone || j.status == StatusFailed
-	j.mu.Unlock()
-	if terminal {
-		// Deliver one final snapshot so late subscribers still observe
-		// the job's totals before the stream closes.
+	if j.status == StatusDone || j.status == StatusFailed {
+		j.mu.Unlock()
+		c := make(chan telemetry.Snapshot, 1)
 		c <- j.stats.Snapshot()
 		close(c)
 		return c, func() {}
 	}
+	// Sized for a burst of segment snapshots between two reads by a
+	// streaming client; beyond it broadcast drops rather than blocks.
+	c := make(chan telemetry.Snapshot, 16)
+	if j.subs == nil {
+		j.subs = map[chan telemetry.Snapshot]struct{}{}
+	}
+	j.subs[c] = struct{}{}
+	j.mu.Unlock()
 	return c, func() {
 		j.mu.Lock()
 		if _, ok := j.subs[c]; ok {

@@ -88,7 +88,9 @@ func (v View) Get(l Loc) Time {
 	return v.ts[l]
 }
 
-// grow extends the dense span of v to at least n locations.
+// grow extends the dense span of v to at least n locations. Within
+// capacity it only reslices, which relies on the entries past the length
+// being zero: nothing writes them, and Reset zeroes what it cuts off.
 func (v *View) grow(n int) {
 	if n <= len(v.ts) {
 		return
@@ -124,6 +126,16 @@ func (v *View) Set(l Loc, t Time) {
 	v.grow(int(l) + 1)
 	v.ts[l] = t
 }
+
+// Reset empties v in place (bottom), keeping its array for the sets and
+// joins that refill it. Copies sharing the array see it emptied too.
+func (v *View) Reset() {
+	clear(v.ts)
+	v.ts = v.ts[:0]
+}
+
+// Cap reports how many locations v has room for before it reallocates.
+func (v View) Cap() int { return cap(v.ts) }
 
 // Len reports the number of locations with a nonzero entry.
 func (v View) Len() int {
@@ -391,6 +403,13 @@ func NewClock() Clock { return Clock{} }
 // NewClockCap returns an empty clock whose physical view has room for locs
 // locations pre-allocated (see NewCap).
 func NewClockCap(locs int) Clock { return Clock{V: NewCap(locs)} }
+
+// Reset empties c in place, keeping its physical view's array (see
+// View.Reset).
+func (c *Clock) Reset() {
+	c.V.Reset()
+	c.L = LogView{}
+}
 
 // Clone returns an independent copy of c.
 func (c Clock) Clone() Clock { return Clock{V: c.V.Clone(), L: c.L.Clone()} }
