@@ -7,14 +7,21 @@
 
 GO ?= go
 
-.PHONY: check lint build vet test race perfbench bench benchreport fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
+.PHONY: check lint fmt build vet test race perfbench bench benchreport fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
 
 check: lint build race perfbench
 
-# Static analysis: go vet plus the repo's own analyzer suite (see
+# Static analysis: gofmt, go vet, and the repo's own analyzer suite (see
 # DESIGN.md §9 and internal/analyzers).
-lint: vet
+lint: fmt vet
 	$(GO) run ./cmd/compasslint ./...
+
+# Formatting: every Go file outside testdata (whose analyzer fixtures
+# keep their own layout) must be gofmt-clean. The benchmark's build
+# directory is skipped.
+fmt:
+	@files="$$(gofmt -l . | grep -v -e '/testdata/' -e '^\.bench_build/' || true)"; \
+	if [ -n "$$files" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -40,9 +40,9 @@ type Checked struct {
 	// abstract transition system by forward simulation (see
 	// internal/refine) — an operational characterization independent of
 	// the declarative predicates in Check. It runs only when
-	// Options.Refine is set (the harness then records step-event traces
-	// so the oracle can cross-validate the committed events against the
-	// executed instruction stream) and its disagreements with
+	// Options.Refine is set; it cross-validates the committed events
+	// against the thread of every executed memory step
+	// (machine.Result.StepThreads), and its disagreements with
 	// Check/Oracle are counted in the refine telemetry.
 	Refine refine.CheckFunc
 }
@@ -151,9 +151,10 @@ type Options struct {
 	// Refine enables the refinement oracle: each OK execution with a
 	// Checked.Refine checker is additionally judged by forward
 	// simulation against the library's abstract transition system, in
-	// both modes. Runners then record step-event traces (the oracle
-	// cross-validates commit stamps against the executed instruction
-	// stream), and every judged execution lands in the
+	// both modes, and its commit stamps are cross-validated against the
+	// thread of every executed memory step, which the machine records
+	// on every run (rule REFINE-STREAM). Refine does not turn on
+	// step-event tracing. Every judged execution lands in the
 	// refine_traces_checked / refine_disagreements telemetry.
 	Refine bool
 	// POR selects the partial-order reduction mode in ModeExhaustive:
@@ -286,7 +287,6 @@ func (o Options) ExploreOpts() machine.ExploreOpts {
 		Workers:   o.Workers,
 		Stats:     o.Stats,
 		Footprint: o.Footprint,
-		Trace:     o.Refine,
 		POR:       o.POR,
 		Plan:      o.Plan,
 		Dedup:     o.Dedup,
@@ -395,7 +395,7 @@ func Run(name string, build func() Checked, opt Options) *Report {
 //compass:accounting
 func runSequential(name string, build func() Checked, opt Options) *Report {
 	rep := &Report{Name: name}
-	runner := opt.Runner(opt.Refine)
+	runner := opt.Runner(false)
 	for i := 0; i < opt.Executions; i++ {
 		seed := opt.Seed + int64(i)
 		c := build()
@@ -455,7 +455,7 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner := opt.Runner(opt.Refine)
+			runner := opt.Runner(false)
 			for {
 				if atomic.LoadInt64(&stop) != 0 {
 					return

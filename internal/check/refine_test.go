@@ -1,16 +1,21 @@
 package check_test
 
 import (
+	"strings"
 	"testing"
 
 	"compass/internal/check"
+	"compass/internal/core"
 	"compass/internal/deque"
 	"compass/internal/exchanger"
 	"compass/internal/machine"
+	"compass/internal/memory"
 	"compass/internal/queue"
+	"compass/internal/refine"
 	"compass/internal/spec"
 	"compass/internal/stack"
 	"compass/internal/telemetry"
+	"compass/internal/view"
 )
 
 // exhaustRefine exhaustively explores the workload with the refinement
@@ -161,16 +166,49 @@ func TestRefineVerdictPORInvariant(t *testing.T) {
 	}
 }
 
-func TestRefineStreamRunsWithTrace(t *testing.T) {
-	// With Refine on, ExploreOpts must request step-event recording so
-	// the stream cross-validation has events to index.
-	opts := check.Options{Refine: true}.ExploreOpts()
-	if !opts.Trace {
-		t.Fatal("Refine must enable trace recording in ExploreOpts")
+// TestRefineStreamWithoutTrace: REFINE-STREAM reads the per-step thread
+// record the machine keeps on every run, so an exhaustive check with
+// Refine on and no step-event trace still flags a recorder whose commit
+// stamp is one step late (past the last memory step of the run).
+func TestRefineStreamWithoutTrace(t *testing.T) {
+	traced := 0
+	build := func() check.Checked {
+		rec := core.NewRecorder("q")
+		var x view.Loc
+		inner := refine.Checker(refine.Queue, rec.Graph)
+		return check.Checked{
+			Prog: machine.Program{
+				Setup: func(th *machine.Thread) { x = th.Alloc("x", 0) },
+				Workers: []func(*machine.Thread){
+					func(th *machine.Thread) {
+						id := rec.Begin(th, core.Enq, 1)
+						th.Write(x, 1, memory.Rel)
+						rec.Commit(th, id)
+						rec.Graph().Event(id).CommitStep++
+					},
+					func(th *machine.Thread) { th.Yield() },
+				},
+			},
+			Refine: func(r *machine.Result, st *telemetry.Stats) ([]spec.Violation, int) {
+				if len(r.Events) > 0 {
+					traced++
+				}
+				return inner(r, st)
+			},
+		}
 	}
-	if (check.Options{}).ExploreOpts().Trace {
-		t.Fatal("trace recording must stay off without Refine")
+	rep := check.Run("refine-stream", build, check.Options{
+		Mode: check.ModeExhaustive, Refine: true, Workers: 1, KeepGoing: true,
+	})
+	if !rep.Complete || rep.Executions < 2 || traced != 0 {
+		t.Fatalf("%d executions (complete=%v), %d traced; want several, none traced", rep.Executions, rep.Complete, traced)
+	}
+	if len(rep.Failures) != rep.Executions {
+		t.Fatalf("%d of %d executions failed, want all: %s", len(rep.Failures), rep.Executions, rep)
+	}
+	for _, f := range rep.Failures {
+		if len(f.Violations) != 1 || f.Violations[0].Rule != "REFINE-STREAM" || !strings.Contains(f.Violations[0].Detail, "outside the 2-step stream") {
+			t.Fatalf("violations %v, want one REFINE-STREAM window outside the 2-step stream", f.Violations)
+		}
 	}
 }
-
-var _ = machine.OK // keep machine imported for status references in future edits

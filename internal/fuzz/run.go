@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -177,49 +178,49 @@ func Replay(p Program, ds []machine.Decision, budget int) (*Failure, error) {
 	return f, nil
 }
 
-// explore enumerates the program's executions depth-first (the same
-// backtracking scheme as machine.Explore, rebuilt here so each run's
-// decision trace is captured for counterexample artifacts), returning the
-// first failure, the number of runs, whether the tree was exhausted, and
-// the unknown-verdict and discarded counts. stats (nil disables)
-// receives one ExecDone/FuzzExec per run.
+// explore enumerates the program's executions depth-first with
+// machine.Explore, returning the first failure, the number of runs,
+// whether the tree was exhausted, and the unknown-verdict and discarded
+// counts. stats (nil disables) receives the explorer's counters, which
+// include one ExecDone per run, and one FuzzExec per run.
 //
 //compass:accounting
 func explore(p Program, maxRuns, budget int, stats *telemetry.Stats) (f *Failure, runs int, complete bool, unknowns, discards int) {
-	runner := check.Options{Budget: budget, Stats: stats}.Runner(false)
-	var prefix []machine.Decision
-	for runs < maxRuns {
-		inst, err := Build(p)
-		if err != nil {
-			return nil, runs, false, unknowns, discards
+	if maxRuns <= 0 {
+		return nil, 0, false, 0, 0
+	}
+	inst, err := Build(p)
+	if err != nil {
+		return nil, 0, false, 0, 0
+	}
+	// The first run uses the instance just built; every later run builds
+	// its own, which cannot fail for a program that built once.
+	first := true
+	build := func() machine.Program {
+		if !first {
+			inst, _ = Build(p)
 		}
-		strat := machine.ReplayStrategy(prefix)
-		r := runner.Run(inst.Checked.Prog, strat)
-		runs++
+		first = false
+		return inst.Checked.Prog
+	}
+	visit := func(r *machine.Result) bool {
 		if r.Status == machine.Budget {
 			discards++
 		}
-		stats.ExecDone(uint8(r.Status), r.Steps)
 		stats.FuzzExec(r.Status == machine.Budget)
-		f, unk := judge(p, inst, r, strat.Trace, stats)
+		var unk int
+		f, unk = judge(p, inst, r, r.Decisions(), stats)
 		unknowns += unk
 		if f != nil {
-			return f, runs, false, unknowns, discards
+			// The explorer reuses the decision array for its next run.
+			f.Decisions = slices.Clone(f.Decisions)
+			return false
 		}
-		trace := strat.Trace
-		i := len(trace) - 1
-		for ; i >= 0; i-- {
-			if trace[i].Pick+1 < trace[i].N {
-				break
-			}
-		}
-		if i < 0 {
-			return nil, runs, true, unknowns, discards
-		}
-		prefix = append(append([]machine.Decision{}, trace[:i]...),
-			machine.Decision{N: trace[i].N, Pick: trace[i].Pick + 1})
+		return true
 	}
-	return nil, runs, false, unknowns, discards
+	opts := check.Options{MaxRuns: maxRuns, Budget: budget, Stats: stats}.ExploreOpts()
+	res := machine.Explore(build, opts, visit)
+	return f, res.Runs, res.Complete, unknowns, discards
 }
 
 // Config parameterizes a fuzzing campaign.

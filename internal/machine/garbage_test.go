@@ -72,6 +72,46 @@ func TestExploreRunAllocsIndependentOfSetup(t *testing.T) {
 	}
 }
 
+// TestExploreRunAllocsIndependentOfThreads: each thread of a kept
+// machine keeps its coroutine for the whole exploration, so after the
+// first run a run allocates the same whether the program has 2 workers
+// or 8, when the bodies themselves allocate nothing. (One worker runs
+// alone and explores a single run.) The program is built once, so
+// building it allocates nothing per run either. As in
+// TestExploreRunAllocsIndependentOfSetup, the averages may differ by less
+// than one.
+func TestExploreRunAllocsIndependentOfThreads(t *testing.T) {
+	const runs = 16
+	perRun := func(n int) float64 {
+		var x view.Loc
+		prog := Program{
+			Setup:   func(th *Thread) { x = th.Alloc("x", 0) },
+			Workers: make([]func(*Thread), n),
+		}
+		for i := range prog.Workers {
+			prog.Workers[i] = func(th *Thread) {
+				th.Yield()
+				th.Yield()
+				th.Read(x, memory.Acq)
+			}
+		}
+		build := func() Program { return prog }
+		if all := Explore(build, ExploreOpts{MaxRuns: runs}, func(*Result) bool { return true }).Runs; all != runs {
+			t.Fatalf("%d workers explore %d runs; the test needs %d", n, all, runs)
+		}
+		allocs := func(runs int) float64 {
+			opts := ExploreOpts{MaxRuns: runs}
+			return testing.AllocsPerRun(5, func() {
+				Explore(build, opts, func(*Result) bool { return true })
+			})
+		}
+		return (allocs(runs) - allocs(1)) / float64(runs-1)
+	}
+	if two, eight := perRun(2), perRun(8); math.Abs(eight-two) >= 1 {
+		t.Fatalf("a run after the first allocates %v times with 2 workers, %v with 8", two, eight)
+	}
+}
+
 // keptResult is a visited Result with the trace rendered during its visit.
 type keptResult struct {
 	r     *Result

@@ -17,6 +17,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"compass/internal/memory"
 	"compass/internal/telemetry"
@@ -88,8 +89,9 @@ type Result struct {
 	Outcome map[string]int64 // values reported by Thread.Report
 	// Events is the typed per-step operation log (only when Runner.Trace
 	// is set). Use Trace() for the legacy string rendering.
-	Events    []StepEvent
-	decisions []Decision // see Decisions
+	Events      []StepEvent
+	decisions   []Decision // see Decisions
+	stepThreads []int      // see StepThreads
 }
 
 // Decisions returns the decision sequence of a run an explorer made (nil
@@ -97,6 +99,14 @@ type Result struct {
 // the explorer visits the result: the explorer reuses the array for its
 // next run, so a visit that keeps it must copy it.
 func (r *Result) Decisions() []Decision { return r.decisions }
+
+// StepThreads returns the thread that executed each memory step of the
+// run, recorded with or without Runner.Trace: entry k is the thread of
+// the memory event that took memory.Memory.Step from k to k+1, the
+// counter core.Recorder stamps StartStep and CommitStep from. For an
+// explorer's run it is valid only while the explorer visits the result,
+// like Decisions; a Result from Runner.Run owns it.
+func (r *Result) StepThreads() []int { return r.stepThreads }
 
 // Trace renders the recorded events as the legacy human-readable
 // per-step lines (one string per traced operation).
@@ -131,7 +141,7 @@ type abort struct {
 	err    error
 }
 
-// killed unwinds a suspended thread whose coroutine Run stops.
+// killed unwinds a suspended thread body whose run has ended.
 type killed struct{}
 
 var errBudget = errors.New("step budget exhausted")
@@ -153,8 +163,12 @@ type Thread struct {
 	id int
 	tv *memory.ThreadView
 	mc *controller
-	// The thread's coroutine: the body suspends through yield, the
-	// controller resumes it with next and tears it down with stop.
+	// The thread's coroutine runs body, the body start handed it, and
+	// sets body to nil when the body returns. The body suspends through
+	// yield; the controller resumes the coroutine with next and ends it
+	// with stop. On a kept machine the coroutine then waits for its next
+	// body instead of ending (see controller.loop).
+	body  func(*Thread)
 	yield func(struct{}) bool
 	next  func() (struct{}, bool)
 	stop  func()
@@ -174,9 +188,15 @@ func (t *Thread) TV() *memory.ThreadView { return t.tv }
 // (another thread is granted, or the grant ended the run) the thread
 // yields until it is resumed. A thread being started just yields at its
 // first step. Under partial-order reduction the grant consults op to
-// decide which pending steps commute.
+// decide which pending steps commute. Once the run has ended, step
+// unwinds the body instead: at once while the controller is unwinding
+// the parked bodies (from a deferred call in a body, say), or when the
+// thread is resumed to unwind.
 func (t *Thread) step(op memory.Access) {
 	c := t.mc
+	if c.unwinding {
+		panic(killed{})
+	}
 	c.state[t.id] = parked
 	if c.por != POROff {
 		c.pending[t.id] = op
@@ -186,15 +206,25 @@ func (t *Thread) step(op memory.Access) {
 			return
 		}
 	}
-	if !t.yield(struct{}{}) {
+	if !t.yield(struct{}{}) || c.unwinding {
 		panic(killed{})
 	}
+}
+
+// memStep returns the memory for the access t is about to make and
+// records t as the thread of the memory step the access takes. Every
+// memory event goes through here, and each advances memory.Memory's step
+// counter by exactly one, so the record has one entry per memory step.
+func (t *Thread) memStep() *memory.Memory {
+	c := t.mc
+	c.stepThreads = append(c.stepThreads, t.id)
+	return c.mem
 }
 
 // Alloc allocates a fresh named location initialized to init.
 func (t *Thread) Alloc(name string, init int64) view.Loc {
 	t.step(memory.Access{Kind: memory.AccAlloc})
-	l := t.mc.mem.Alloc(t.tv, name, init)
+	l := t.memStep().Alloc(t.tv, name, init)
 	if t.mc.opHist != nil {
 		t.mc.locCanon = append(t.mc.locCanon, t.mc.mem.CanonLocID(l))
 		t.mc.foldOp(t.id, opAlloc, t.mc.locCanon[l], uint64(init))
@@ -208,7 +238,7 @@ func (t *Thread) Alloc(name string, init int64) view.Loc {
 // Read loads from l with the given access mode.
 func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
 	t.step(memory.Access{Kind: memory.AccRead, Loc: l})
-	v, err := t.mc.mem.ReadFloored(t.tv, l, mode, &t.mc.reads, t.takeFloor(l, mode))
+	v, err := t.memStep().ReadFloored(t.tv, l, mode, &t.mc.reads, t.takeFloor(l, mode))
 	if err != nil {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Race: true})
@@ -258,7 +288,7 @@ func (t *Thread) takeFloor(l view.Loc, mode memory.Mode) view.Time {
 // Write stores v to l with the given access mode.
 func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 	t.step(memory.Access{Kind: memory.AccWrite, Loc: l})
-	if err := t.mc.mem.Write(t.tv, l, v, mode); err != nil {
+	if err := t.memStep().Write(t.tv, l, v, mode); err != nil {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Race: true})
 		}
@@ -274,7 +304,7 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 // use-after-free, aborting the execution as undefined behaviour.
 func (t *Thread) Free(l view.Loc) {
 	t.step(memory.Access{Kind: memory.AccFree, Loc: l})
-	if err := t.mc.mem.Free(t.tv, l); err != nil {
+	if err := t.memStep().Free(t.tv, l); err != nil {
 		panic(accessAbort(err))
 	}
 	t.mc.foldOp(t.id, opFree, t.mc.canonLoc(l))
@@ -286,7 +316,7 @@ func (t *Thread) Free(l view.Loc) {
 // Fence issues a fence: acquire, release, or both.
 func (t *Thread) Fence(acquire, release bool) {
 	t.step(memory.Access{Kind: memory.AccFence})
-	t.mc.mem.Fence(t.tv, acquire, release)
+	t.memStep().Fence(t.tv, acquire, release)
 	t.mc.foldOp(t.id, opFence, b2u(acquire), b2u(release))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFence, Acquire: acquire, Release: release})
@@ -297,7 +327,7 @@ func (t *Thread) Fence(acquire, release bool) {
 // other SC fences; forbids store-buffering between fenced accesses).
 func (t *Thread) FenceSC() {
 	t.step(memory.Access{Kind: memory.AccFence})
-	t.mc.mem.FenceSC(t.tv)
+	t.memStep().FenceSC(t.tv)
 	t.mc.foldOp(t.id, opFenceSC)
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFenceSC})
@@ -368,7 +398,7 @@ func (t *Thread) updateChecked(l view.Loc, f memory.UpdateFunc, readMode, writeM
 			panic(p)
 		}
 	}()
-	return t.mc.mem.Update(t.tv, l, f, readMode, writeMode)
+	return t.memStep().Update(t.tv, l, f, readMode, writeMode)
 }
 
 // Yield is a pure scheduling point (no memory effect). Spin loops should
@@ -422,6 +452,15 @@ type controller struct {
 	outcome map[string]int64
 	trace   []StepEvent // per-step op log (only when tracing is enabled)
 	tracing bool
+	// stepThreads records the thread of every memory step (see memStep
+	// and Result.StepThreads); reset keeps its array.
+	stepThreads []int
+	// keep marks a machine the explorers keep for a whole exploration:
+	// each thread's coroutine then outlives its body and runs the
+	// thread's next body, of this run or the next. unwinding is set while
+	// unwind ends the bodies still parked when a run ends.
+	keep      bool
+	unwinding bool
 	// scheduling is set while schedule runs the parked threads: a
 	// thread's step then decides the next grant, and leaves the granted
 	// thread, or -1 when the run ended, in granted.
@@ -630,22 +669,25 @@ type Runner struct {
 // execution's memory rather than result accounting (they cannot
 // overshoot an early stop).
 func (r *Runner) Run(prog Program, strat Strategy) *Result {
-	return r.run(new(controller), prog, strat, 0)
+	c := new(controller)
+	defer c.stopAll()
+	return r.run(c, prog, strat, 0)
 }
 
 // run is Run on the machine c, which it resets first: the explorers pass
 // the one they keep for all their runs, so a run reuses the memory,
-// thread views and buffers of the run before it. logCap is a capacity
-// hint for the step-event log, used only when tracing: the explorers
-// pass the longest log seen so far in their exploration, so a run's log
-// is allocated once instead of growing by doubling from empty. The hint
-// is capped at the step budget. The log is still fresh per run: every
-// Result owns its Events.
+// thread views, coroutines and buffers of the run before it. logCap is a
+// capacity hint for the step-event log, used only when tracing: the
+// explorers pass the longest log seen so far in their exploration, so a
+// run's log is allocated once instead of growing by doubling from empty.
+// The hint is capped at the step budget. The log is still fresh per run:
+// every Result owns its Events. Before it returns, run unwinds every body
+// still parked, also when a panic propagates.
 //
 //compass:accounting
 func (r *Runner) run(c *controller, prog Program, strat Strategy, logCap int) *Result {
 	c.reset(r, prog, strat, logCap)
-	defer c.stopAll()
+	defer c.unwind()
 	c.run(prog)
 
 	c.stats.FootprintPruned(c.mem.PrunedReads(), c.mem.RaceChecksSkipped())
@@ -654,14 +696,15 @@ func (r *Runner) run(c *controller, prog Program, strat Strategy, logCap int) *R
 		// (wakes) this run's wakeup bookkeeping carried.
 		c.stats.PORRunWakeups(c.wakes)
 	}
-	return &Result{Status: c.status, Err: c.err, Steps: c.steps, Outcome: c.outcome, Events: c.trace}
+	return &Result{Status: c.status, Err: c.err, Steps: c.steps, Outcome: c.outcome, Events: c.trace, stepThreads: c.stepThreads}
 }
 
 // reset prepares c to run prog under strat for r. A fresh controller and
 // a recycled one take this one path: every field a run reads is set here,
 // while the memory, the threads with their views, and the per-thread and
-// scratch buffers keep their storage from the run before. The outcome
-// map and the step-event log are fresh, because the Result takes them.
+// scratch buffers keep their storage from the run before, and so do the
+// threads' coroutines on a kept machine. The outcome map and the
+// step-event log are fresh, because the Result takes them.
 //
 //compass:accounting
 func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) {
@@ -684,14 +727,15 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 	}
 	c.strat, c.stats = strat, r.Stats
 	c.reads = readChooser{strat: strat, stats: r.Stats}
-	for len(c.threads) < n {
-		id := len(c.threads)
-		c.threads = append(c.threads, &Thread{id: id, tv: memory.NewThreadView(id), mc: c})
-	}
-	c.threads = c.threads[:n]
-	for _, t := range c.threads {
-		t.tv.Reset(t.id) // a worker's view is forked from main's at spawn
-		t.yield, t.next, t.stop = nil, nil, nil
+	// Threads beyond n stay in the array, with their coroutines, for a
+	// later run with more threads and for stopAll.
+	c.threads = slices.Grow(c.threads[:0], n)[:n]
+	for id, t := range c.threads {
+		if t == nil {
+			t = &Thread{id: id, tv: memory.NewThreadView(id), mc: c}
+			c.threads[id] = t
+		}
+		t.tv.Reset(id) // a worker's view is forked from main's at spawn
 	}
 	c.state = zeroed(c.state, n, true)
 	for i := 1; i < n; i++ {
@@ -706,6 +750,10 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 	if c.tracing && logCap > 0 {
 		c.trace = make([]StepEvent, 0, min(logCap, c.budget))
 	}
+	if c.stepThreads == nil {
+		c.stepThreads = make([]int, 0, 64)
+	}
+	c.stepThreads = c.stepThreads[:0]
 	c.scheduling, c.granted = false, 0
 	c.ended, c.status, c.err = false, OK, nil
 
@@ -784,30 +832,56 @@ func (c *controller) run(prog Program) {
 	c.end(OK, nil)
 }
 
-// start makes body the coroutine of thread t and runs it alone up to its
-// first step. The coroutine wrapper records an abort as the end of the
-// execution; any other panic reaches Run's caller through next.
+// start hands body to thread t and runs it alone up to its first step.
+// The thread's coroutine runs it: the one a kept machine's thread waits
+// in since its last body returned, or a new one when the thread has none
+// (a fresh machine, a new thread, or a coroutine a panic ended).
 func (c *controller) start(t *Thread, body func(*Thread)) {
-	t.next, t.stop = pull(func(yield func(struct{}) bool) {
-		t.yield = yield
-		defer func() {
-			switch p := recover().(type) {
-			case nil, killed:
-			case abort:
-				c.end(p.status, p.err)
-			default:
-				panic(p)
-			}
-		}()
-		body(t)
-	})
+	t.body = body
+	if t.next == nil {
+		t.next, t.stop = pull(c.loop(t))
+	}
 	c.resume(t)
+}
+
+// loop is the coroutine of thread t. It runs t's body and reports the
+// return by clearing t.body; on a kept machine it then yields until start
+// hands it the next body, otherwise it ends. A panic other than an
+// execution abort or an unwind ends the coroutine and reaches the
+// controller through next; the thread then has no coroutine.
+func (c *controller) loop(t *Thread) func(yield func(struct{}) bool) {
+	return func(yield func(struct{}) bool) {
+		defer func() { t.next, t.stop = nil, nil }()
+		t.yield = yield
+		for {
+			c.runBody(t)
+			t.body = nil
+			if !c.keep || !yield(struct{}{}) {
+				return
+			}
+		}
+	}
+}
+
+// runBody runs t's current body. An abort is recorded as the end of the
+// execution and an unwind ends the body only; any other panic goes on.
+func (c *controller) runBody(t *Thread) {
+	defer func() {
+		switch p := recover().(type) {
+		case nil, killed:
+		case abort:
+			c.end(p.status, p.err)
+		default:
+			panic(p)
+		}
+	}()
+	t.body(t)
 }
 
 // resume runs thread t until it yields or its body returns, and reports
 // whether it yielded.
 func (c *controller) resume(t *Thread) bool {
-	if _, ok := t.next(); ok {
+	if t.next(); t.body != nil {
 		return true
 	}
 	c.state[t.id] = done
@@ -910,11 +984,27 @@ func (c *controller) end(st Status, err error) {
 	c.ended, c.status, c.err = true, st, err
 }
 
-// stopAll stops every suspended thread coroutine, unwinding its body. Run
-// defers it, so it also runs when a panic propagates.
-func (c *controller) stopAll() {
+// unwind ends every body still parked when a run ends: it resumes each
+// one's thread with unwinding set, so the body's step panics killed and
+// the body unwinds. On a kept machine the coroutine then waits for its
+// next body; otherwise it ends.
+func (c *controller) unwind() {
+	c.unwinding = true
 	for _, t := range c.threads {
-		if t.stop != nil {
+		if t.body != nil && t.next != nil {
+			t.next()
+		}
+	}
+	c.unwinding = false
+}
+
+// stopAll ends the coroutine of every thread the machine ever had,
+// including threads beyond the last run's count, unwinding any body still
+// parked. Runner.Run defers it, and so do the explorers for their kept
+// machines, so it also runs when a panic propagates.
+func (c *controller) stopAll() {
+	for _, t := range c.threads[:cap(c.threads)] {
+		if t != nil && t.stop != nil {
 			t.stop()
 		}
 	}

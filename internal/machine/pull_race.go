@@ -11,7 +11,8 @@ import "iter"
 // thread bodies, so `go test -race` would run out of memory. The contract
 // is iter.Pull's: next runs the body to its next yield or its end and
 // re-raises its panic; stop makes a suspended yield return false and
-// returns once the body has exited.
+// returns once the body has exited, and a yield after that returns false
+// at once.
 //
 //compass:scheduler
 func pull(seq iter.Seq[struct{}]) (func() (struct{}, bool), func()) {
@@ -27,9 +28,14 @@ func pull(seq iter.Seq[struct{}]) (func() (struct{}, bool), func()) {
 			last.recovered = recover()
 			events <- last
 		}()
+		stopped := false // read and written on the body's goroutine only
 		seq(func(struct{}) bool {
+			if stopped {
+				return false
+			}
 			events <- event{ok: true}
-			return <-resume
+			stopped = !<-resume
+			return !stopped
 		})
 	}
 	// The goroutine starts on the first next, so every send it makes

@@ -15,7 +15,8 @@ import (
 
 // withDigest returns prog with a final phase that ends by reporting a
 // digest of the canonical memory state and of main's view, so runs that
-// report equal digests ended in isomorphic states.
+// report equal digests ended in isomorphic states, and the memory's step
+// counter.
 func withDigest(prog machine.Program) machine.Program {
 	final := prog.Final
 	prog.Final = func(th *machine.Thread) {
@@ -27,6 +28,7 @@ func withDigest(prog machine.Program) machine.Program {
 		h := fnv.New64a()
 		h.Write(o.AppendCanonThread(m.AppendCanon(nil, o), th.TV()))
 		th.Report("canon", int64(h.Sum64()))
+		th.Report("memory steps", int64(m.Step()))
 	}
 	return prog
 }
@@ -34,8 +36,8 @@ func withDigest(prog machine.Program) machine.Program {
 // TestRecycledRunsMatchFreshReplays: the explorers run every execution on
 // one recycled machine per worker. Each run must equal a replay of its
 // decision sequence on a fresh machine (Runner.Run): same status, steps,
-// outcome, trace and final canonical state, so nothing of one run leaks
-// into the next.
+// outcome, trace, per-step thread record and final canonical state, so
+// nothing of one run leaks into the next.
 //
 // Library workloads tag their event graphs from a process-wide counter
 // during setup, and the tags reach memory and traces. So every run holds
@@ -137,6 +139,10 @@ func replayDiff(build func() machine.Program, por machine.PORMode, budget int, r
 		return fmt.Errorf("recycled run reported %v, fresh replay %v", r.Outcome, got.Outcome)
 	case !slices.Equal(got.Trace(), r.Trace()):
 		return fmt.Errorf("recycled run traced\n%q\nfresh replay\n%q", r.Trace(), got.Trace())
+	case !slices.Equal(got.StepThreads(), r.StepThreads()):
+		return fmt.Errorf("recycled run stepped threads %v, fresh replay %v", r.StepThreads(), got.StepThreads())
+	case r.Status == machine.OK && int64(len(r.StepThreads())) != r.Outcome["memory steps"]:
+		return fmt.Errorf("%d memory steps, but %d in the step-thread record", r.Outcome["memory steps"], len(r.StepThreads()))
 	}
 	return nil
 }

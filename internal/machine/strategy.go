@@ -148,9 +148,9 @@ type ExploreOpts struct {
 	Footprint *memory.Footprint
 	// Trace enables step-event recording in every execution's Runner (see
 	// Runner.Trace): each visited Result carries its typed StepEvent
-	// stream. Recording never changes decisions or outcomes; it exists for
-	// consumers — like the refinement oracle — that cross-check the event
-	// graph against the executed instruction stream.
+	// stream. Recording never changes decisions or outcomes. The
+	// refinement oracle does not need it: its stream check reads
+	// Result.StepThreads, which every run records.
 	Trace bool
 	// Resume, when non-nil, starts the exploration from a saved frontier
 	// instead of the tree root: only the subtrees below the frontier's
@@ -230,11 +230,13 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
-	// Every run reuses one machine (see Runner.run). Each run records its
+	// Every run reuses one machine (see Runner.run), whose thread
+	// coroutines live until Explore returns. Each run records its
 	// decisions into one of two alternating buffers while replaying the
 	// previous run's trace, cut back and bumped in place, as its prefix.
 	// logCap is the longest step-event log so far.
-	c := new(controller)
+	c := &controller{keep: true}
+	defer c.stopAll()
 	var bufs [2][]Decision
 	var prefix []Decision
 	strat := &TraceStrategy{}
@@ -408,11 +410,13 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
 	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
-	// One machine serves every run of this worker (see Runner.run), and
-	// one decision buffer: children copy out of it before they reach the
-	// shared frontier. logCap is the longest step-event log this worker
-	// has seen.
-	c := new(controller)
+	// One machine serves every run of this worker (see Runner.run), its
+	// thread coroutines living until the worker returns, and one decision
+	// buffer: children copy out of it before they reach the shared
+	// frontier. logCap is the longest step-event log this worker has
+	// seen.
+	c := &controller{keep: true}
+	defer c.stopAll()
 	var buf []Decision
 	strat := &TraceStrategy{}
 	logCap := 0

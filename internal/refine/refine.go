@@ -471,20 +471,21 @@ func Check(lib Library, g *core.Graph, opt Options) ([]spec.Violation, int) {
 	}}, 0
 }
 
-// CheckTrace is Check plus the step-stream cross-validation: when the
-// result carries the typed StepEvent stream (Runner.Trace), the
-// committed events' step stamps are checked against the instructions
-// the machine actually executed (rule REFINE-STREAM).
-func CheckTrace(lib Library, g *core.Graph, r *machine.Result, opt Options) ([]spec.Violation, int) {
-	viols := streamCheck(g, r)
+// CheckTrace is Check plus the step-stream cross-validation (rule
+// REFINE-STREAM): threads names the thread of every memory step the
+// machine executed (machine.Result.StepThreads), and the committed
+// events' step stamps are checked against it. An empty record skips the
+// stream check.
+func CheckTrace(lib Library, g *core.Graph, threads []int, opt Options) ([]spec.Violation, int) {
+	viols := streamCheck(g, threads)
 	v, unknown := Check(lib, g, opt)
 	return append(viols, v...), unknown
 }
 
-// streamCheck validates the committed events against the typed step
-// stream. Each recorded StepEvent corresponds 1:1, in order, to one
-// memory step — the counter Begin/Commit snapshot — so the k-th stream
-// entry is memory step k. The checks:
+// streamCheck validates the committed events against the per-step thread
+// record. Entry k is the thread of memory step k+1, the counter
+// Begin/Commit snapshot, so an event's [StartStep, CommitStep) window
+// indexes the record directly. The checks:
 //
 //   - an event's [StartStep, CommitStep] window lies within the stream;
 //   - the operation's own thread executed at least one instruction in a
@@ -492,15 +493,15 @@ func CheckTrace(lib Library, g *core.Graph, r *machine.Result, opt Options) ([]s
 //   - per thread, operations are serial: program order (by StartStep)
 //     has nondecreasing commit steps and the next operation begins no
 //     earlier than the previous one committed.
-func streamCheck(g *core.Graph, r *machine.Result) []spec.Violation {
-	if r == nil || len(r.Events) == 0 {
+func streamCheck(g *core.Graph, threads []int) []spec.Violation {
+	if len(threads) == 0 {
 		return nil
 	}
 	var viols []spec.Violation
 	addf := func(format string, args ...interface{}) {
 		viols = append(viols, spec.Violation{Rule: "REFINE-STREAM", Detail: fmt.Sprintf(format, args...)})
 	}
-	steps := len(r.Events)
+	steps := len(threads)
 	byThread := map[int][]*core.Event{}
 	for _, e := range g.Events() {
 		if e.StartStep < 0 || e.CommitStep < e.StartStep || e.CommitStep > steps {
@@ -509,8 +510,8 @@ func streamCheck(g *core.Graph, r *machine.Result) []spec.Violation {
 		}
 		if e.StartStep < e.CommitStep {
 			own := false
-			for s := e.StartStep; s < e.CommitStep; s++ {
-				if r.Events[s].Thread == e.Thread {
+			for _, tid := range threads[e.StartStep:e.CommitStep] {
+				if tid == e.Thread {
 					own = true
 					break
 				}
@@ -544,17 +545,21 @@ type CheckFunc func(r *machine.Result, stats *telemetry.Stats) ([]spec.Violation
 
 // Checker adapts one library graph to the harness: the returned
 // function runs CheckTrace against the graph the accessor yields at
-// evaluation time.
+// evaluation time and the result's per-step thread record (none for a
+// nil result).
 func Checker(lib Library, graph func() *core.Graph) CheckFunc {
-	return func(r *machine.Result, stats *telemetry.Stats) ([]spec.Violation, int) {
-		return CheckTrace(lib, graph(), r, Options{Stats: stats})
-	}
+	return CheckerMax(lib, 0, graph)
 }
 
-// CheckerMax is Checker with an explicit search bound.
+// CheckerMax is Checker with an explicit search bound (0 selects
+// DefaultMaxEvents).
 func CheckerMax(lib Library, maxEvents int, graph func() *core.Graph) CheckFunc {
 	return func(r *machine.Result, stats *telemetry.Stats) ([]spec.Violation, int) {
-		return CheckTrace(lib, graph(), r, Options{MaxEvents: maxEvents, Stats: stats})
+		var threads []int
+		if r != nil {
+			threads = r.StepThreads()
+		}
+		return CheckTrace(lib, graph(), threads, Options{MaxEvents: maxEvents, Stats: stats})
 	}
 }
 

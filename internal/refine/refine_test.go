@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"compass/internal/core"
-	"compass/internal/machine"
 	"compass/internal/refine"
 	"compass/internal/telemetry"
 	"compass/internal/view"
@@ -281,16 +280,14 @@ func TestFanoutTelemetryRecorded(t *testing.T) {
 func TestStreamCheckWindowAndSeriality(t *testing.T) {
 	// Windows outside the stream and overlapping same-thread operations
 	// must be flagged; the checker is a no-op without a recorded stream.
+	// Each stream is a per-step thread record (machine.Result.StepThreads).
 	b := core.NewGraphBuilder("q")
 	e1 := b.Add(core.Enq, 1, 0)
 	e2 := b.Add(core.Enq, 2, 0)
 	g := b.Graph()
 	b.SetSteps(e1, 0, 3)
 	b.SetSteps(e2, 1, 2) // starts before e1 commits: same-thread overlap
-	r := &machine.Result{Events: []machine.StepEvent{
-		{Step: 1, Thread: 0}, {Step: 2, Thread: 0}, {Step: 3, Thread: 0},
-	}}
-	viols, _ := refine.CheckTrace(refine.Queue, g, r, refine.Options{})
+	viols, _ := refine.CheckTrace(refine.Queue, g, []int{0, 0, 0}, refine.Options{})
 	found := false
 	for _, v := range viols {
 		if v.Rule == "REFINE-STREAM" && strings.Contains(v.Detail, "overlap") {
@@ -304,8 +301,7 @@ func TestStreamCheckWindowAndSeriality(t *testing.T) {
 	b2 := core.NewGraphBuilder("q")
 	e := b2.Add(core.Enq, 1, 0)
 	b2.SetSteps(e, 0, 9) // commit beyond the 2-step stream
-	r2 := &machine.Result{Events: []machine.StepEvent{{Thread: 0}, {Thread: 0}}}
-	viols, _ = refine.CheckTrace(refine.Queue, b2.Graph(), r2, refine.Options{})
+	viols, _ = refine.CheckTrace(refine.Queue, b2.Graph(), []int{0, 0}, refine.Options{})
 	found = false
 	for _, v := range viols {
 		if v.Rule == "REFINE-STREAM" && strings.Contains(v.Detail, "outside") {
@@ -321,8 +317,7 @@ func TestStreamCheckWindowAndSeriality(t *testing.T) {
 	b3 := core.NewGraphBuilder("q")
 	e = b3.Add(core.Enq, 1, 0)
 	b3.SetSteps(e, 0, 2)
-	r3 := &machine.Result{Events: []machine.StepEvent{{Thread: 5}, {Thread: 5}}}
-	viols, _ = refine.CheckTrace(refine.Queue, b3.Graph(), r3, refine.Options{})
+	viols, _ = refine.CheckTrace(refine.Queue, b3.Graph(), []int{5, 5}, refine.Options{})
 	found = false
 	for _, v := range viols {
 		if v.Rule == "REFINE-STREAM" && strings.Contains(v.Detail, "executed none") {
@@ -334,7 +329,7 @@ func TestStreamCheckWindowAndSeriality(t *testing.T) {
 	}
 
 	// No stream recorded: stream checks are skipped entirely.
-	viols, _ = refine.CheckTrace(refine.Queue, b3.Graph(), &machine.Result{}, refine.Options{})
+	viols, _ = refine.CheckTrace(refine.Queue, b3.Graph(), nil, refine.Options{})
 	for _, v := range viols {
 		if v.Rule == "REFINE-STREAM" {
 			t.Fatalf("stream violation without a stream: %v", viols)

@@ -229,4 +229,3 @@ func TestHTTPEventStreamLive(t *testing.T) {
 	}
 	m.Wait()
 }
-

@@ -320,7 +320,7 @@ func TestFinishedJobSubscribersLeaveNothing(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatalf("job %s did not finish", j.ID)
 	}
-	want := j.stats.Snapshot()
+	want := finalSnapshot(t, j)
 	listeners := func() int {
 		j.mu.Lock()
 		defer j.mu.Unlock()

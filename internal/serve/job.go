@@ -90,9 +90,14 @@ type Job struct {
 	ID   string
 	Spec JobSpec
 
-	m     *Manager
+	m *Manager
+	// eng and stats are the running job's engine and live telemetry
+	// sink. finalize drops both and keeps the final snapshot, so a
+	// finished job holds only its result and final. For a coordinator
+	// job they change under shardMu, which lease returns hold.
 	eng   engine
 	stats *telemetry.Stats
+	final *telemetry.Snapshot
 	done  chan struct{}
 	stop  atomic.Bool
 
@@ -151,9 +156,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Subscribe() (ch <-chan telemetry.Snapshot, cancel func()) {
 	j.mu.Lock()
 	if j.status == StatusDone || j.status == StatusFailed {
+		final := *j.final
 		j.mu.Unlock()
 		c := make(chan telemetry.Snapshot, 1)
-		c <- j.stats.Snapshot()
+		c <- final
 		close(c)
 		return c, func() {}
 	}
@@ -433,18 +439,33 @@ func (j *Job) checkpoint(done bool, result *JobResult, segErr error) error {
 	return nil
 }
 
-// finalize moves the job to a terminal state and wakes waiters.
+// finalize moves the job to a terminal state and wakes waiters. The job
+// keeps its result and the final telemetry snapshot and drops its engine
+// and live sink (see finish).
 //
 //compass:accounting
 func (j *Job) finalize(status JobStatus, result *JobResult, err error) {
-	j.mu.Lock()
-	j.status = status
-	j.result = result
-	j.err = err
-	j.mu.Unlock()
+	if j.shard != nil {
+		j.shardMu.Lock() // lease returns read the engine and sink under it
+		j.finish(status, result, err)
+		j.shardMu.Unlock()
+	} else {
+		j.finish(status, result, err)
+	}
 	j.m.stats.JobDone(status == StatusFailed)
 	j.closeSubs()
 	close(j.done)
+}
+
+// finish records the terminal state, snapshots the live sink as the
+// job's final telemetry, and drops the engine and the sink.
+func (j *Job) finish(status JobStatus, result *JobResult, err error) {
+	final := j.stats.Snapshot()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.status, j.result, j.err = status, result, err
+	j.final = &final
+	j.eng, j.stats = nil, nil
 }
 
 // Resume rebuilds jobs from the checkpoint store: finished jobs load as
@@ -533,11 +554,7 @@ func (m *Manager) Resume() (resumed, finished int, errs []error) {
 			if result == nil {
 				result = eng.result()
 			}
-			j.mu.Lock()
-			j.status = status
-			j.result = result
-			j.err = jerr
-			j.mu.Unlock()
+			j.finish(status, result, jerr)
 			close(j.done)
 			finished++
 			continue

@@ -65,9 +65,9 @@ type LeaseReturn struct {
 
 // LeaseState is the checkpoint form of one outstanding lease.
 type LeaseState struct {
-	ID       string              `json:"id"`
-	Epoch    int64               `json:"epoch"`
-	Peer     string              `json:"peer,omitempty"`
+	ID       string               `json:"id"`
+	Epoch    int64                `json:"epoch"`
+	Peer     string               `json:"peer,omitempty"`
 	Prefixes [][]machine.Decision `json:"prefixes"`
 }
 
@@ -330,7 +330,9 @@ func (m *Manager) ReturnLease(ret *LeaseReturn) error {
 		return nil // idempotent re-ack of an already-merged return
 	}
 	l, ok := sh.leases[ret.LeaseID]
-	if !ok || l.epoch != ret.Epoch {
+	if !ok || l.epoch != ret.Epoch || j.eng == nil {
+		// A nil engine means the job finished (failed) with the lease
+		// still out: there is nothing left to merge it into.
 		return ErrStaleLease
 	}
 	leftover, err := j.eng.(sharder).mergeDelta(ret.Engine)

@@ -192,7 +192,7 @@ func TestResumeTelemetryContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	mBase.Wait()
-	base := jBase.stats.Snapshot()
+	base := finalSnapshot(t, jBase)
 
 	got, _ := runSegmented(t, dir, spec, 5, []int{1, 4})
 	if got.Status != StatusDone {
@@ -222,6 +222,82 @@ func TestResumeTelemetryContinuity(t *testing.T) {
 	}
 	if err := telemetry.ValidateSnapshotJSON(data); err != nil {
 		t.Errorf("final snapshot invalid: %v (%s)", err, data)
+	}
+}
+
+// finalSnapshot returns the final telemetry snapshot a finished job
+// keeps.
+func finalSnapshot(t *testing.T, j *Job) telemetry.Snapshot {
+	t.Helper()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.final == nil {
+		t.Fatalf("job %s (%s) has no final snapshot", j.ID, j.status)
+	}
+	return *j.final
+}
+
+// TestFinishedJobKeepsOnlyItsResult: a finished job keeps its result and
+// its final telemetry snapshot, not its engine or its live sink, whether
+// it ran here (a plain and a coordinator job) or was loaded finished
+// from a checkpoint.
+func TestFinishedJobKeepsOnlyItsResult(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	m, err := NewManager(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(j *Job) string {
+		j.shardMu.Lock()
+		defer j.shardMu.Unlock()
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		switch {
+		case j.eng != nil:
+			return "its engine"
+		case j.stats != nil:
+			return "its live telemetry sink"
+		case j.result == nil:
+			return "no result"
+		}
+		return ""
+	}
+	plain, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The split segment finishes the whole tree locally, so no peer is
+	// needed.
+	coord, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep", Coordinator: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Wait()
+	for _, j := range []*Job{plain, coord} {
+		if h := held(j); h != "" {
+			t.Errorf("finished job %s holds %s", j.ID, h)
+		}
+		if got := finalSnapshot(t, j).Machine.Execs; got != int64(j.View().Runs) {
+			t.Errorf("job %s: final snapshot counts %d executions, job ran %d", j.ID, got, j.View().Runs)
+		}
+	}
+
+	m2, err := NewManager(Config{StateDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed, finished, errs := m2.Resume(); resumed != 0 || finished != 2 || len(errs) != 0 {
+		t.Fatalf("resume: %d resumed, %d finished, errors %v; want 0, 2, none", resumed, finished, errs)
+	}
+	for _, id := range []string{plain.ID, coord.ID} {
+		j, _ := m2.Job(id)
+		if h := held(j); h != "" {
+			t.Errorf("job %s loaded finished holds %s", id, h)
+		}
+		if got, want := finalSnapshot(t, j).Machine.Execs, finalSnapshot(t, plain).Machine.Execs; got != want {
+			t.Errorf("job %s loaded finished: final snapshot counts %d executions, want %d", id, got, want)
+		}
 	}
 }
 

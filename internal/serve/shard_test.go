@@ -360,6 +360,66 @@ func TestShardReturnIsIdempotent(t *testing.T) {
 	m.Shutdown()
 }
 
+// TestShardReturnRetriedAfterFinish: a finished coordinator job has
+// dropped its engine, yet a lease return retried after the job finished
+// is still re-acked, and a renewal of the returned lease or a return of
+// an unknown lease is still refused as stale.
+func TestShardReturnRetriedAfterFinish(t *testing.T) {
+	t.Parallel()
+	spec := JobSpec{Workload: "litmus/SB", POR: "off", Coordinator: true,
+		LeasePrefixes: 1, LeaseTTLMillis: 60000}
+	m, err := NewManager(Config{StateDir: t.TempDir(), Workers: 1, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitShardPending(t, j)
+	var first *LeaseReturn
+	for {
+		g, err := m.AcquireLease("retry-peer")
+		if errors.Is(err, ErrNoWork) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret := runLeaseLocal(t, g)
+		if err := m.ReturnLease(ret); err != nil {
+			t.Fatalf("return: %v", err)
+		}
+		if first == nil {
+			first = ret
+		}
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("coordinator job did not finish")
+	}
+	if first == nil {
+		t.Fatal("no lease was granted")
+	}
+	runs := j.View().Runs
+	if err := m.ReturnLease(first); err != nil {
+		t.Errorf("return retried after the job finished: %v, want a re-ack", err)
+	}
+	if err := m.RenewLease(first.JobID, first.LeaseID, first.Epoch); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("renewal after the job finished: %v, want %v", err, ErrStaleLease)
+	}
+	unknown := *first
+	unknown.LeaseID += "-unknown"
+	if err := m.ReturnLease(&unknown); !errors.Is(err, ErrStaleLease) {
+		t.Errorf("unknown lease returned after the job finished: %v, want %v", err, ErrStaleLease)
+	}
+	if v := j.View(); v.Status != StatusDone || v.Runs != runs {
+		t.Errorf("job %s with %d runs after the retries, want done with %d", v.Status, v.Runs, runs)
+	}
+	m.Shutdown()
+}
+
 // TestShardSpecValidation: coordinator combinations the service refuses.
 func TestShardSpecValidation(t *testing.T) {
 	t.Parallel()
