@@ -99,10 +99,10 @@ shardsmoke:
 	$(GO) test ./internal/serve -run 'TestShard|TestHTTP|TestSubmitDuringShutdown|TestKillResumeDedup' -count=1 -v
 
 # Quick benchmark pass over the tier-1 set (see cmd/benchreport), plus
-# the logical-view joins and lib/deque's bytes and allocations per
-# exhaustive execution.
+# the logical-view joins, lib/deque's bytes and allocations per
+# exhaustive execution, and the library corpus's per random execution.
 bench:
-	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive' -benchmem . ./internal/view ./internal/memory
+	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive|RandomLibraryChecks' -benchmem . ./internal/view ./internal/memory
 
 # Full tier-1 snapshot written to BENCH_<date>.json.
 benchreport:

@@ -14,6 +14,7 @@ import (
 	"compass/internal/check"
 	"compass/internal/experiments"
 	"compass/internal/litmus"
+	"compass/internal/telemetry"
 )
 
 // benchCfg is the reduced experiment scale used inside benchmarks.
@@ -303,6 +304,36 @@ func BenchmarkLibDequeExhaustive(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(execs), "B/exec")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(execs), "allocs/exec")
+}
+
+// BenchmarkRandomLibraryChecks checks every library workload of the
+// refinement corpus with seeded-random executions, the way compassd runs
+// a random library job: 200 executions each from the default seed, the
+// refinement oracle on, one worker and a fresh telemetry sink per job.
+// One op is the seven jobs. It reports each execution's time, and what
+// each execution allocates, read from runtime.MemStats over the whole
+// loop.
+func BenchmarkRandomLibraryChecks(b *testing.B) {
+	suite := litmus.LibrarySuite()
+	var before, after runtime.MemStats
+	execs := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, lt := range suite {
+			rep := check.Run(lt.Name, lt.Build, check.Options{Executions: 200, Refine: true, Workers: 1, Stats: telemetry.New()})
+			if !rep.Passed() {
+				b.Fatalf("%s", rep)
+			}
+			execs += rep.Executions
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(execs), "ns/exec")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(execs), "B/exec")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(execs), "allocs/exec")
 }

@@ -29,8 +29,8 @@ plumbing cannot be forgotten site by site.
 
 The pass also flags calls to the deprecated run-API shims left behind by
 the consolidation (check.Exhaustive/ExhaustiveOpt/Explain/TraceChecked,
-litmus.RunWorkers*, machine.RunRandom) from outside their defining
-packages, so new code reaches the consolidated entry points directly.`,
+litmus.RunWorkers*) from outside their defining packages, so new code
+reaches the consolidated entry points directly.`,
 	Run: run,
 }
 
@@ -50,7 +50,6 @@ var deprecatedRunners = map[string]string{
 	"compass/internal/litmus.RunWorkers":          "litmus.Run with WithWorkers",
 	"compass/internal/litmus.RunWorkersStats":     "litmus.Run with WithWorkers and WithStats",
 	"compass/internal/litmus.RunWorkersFootprint": "litmus.Run with WithWorkers, WithStats, and WithFootprint",
-	"compass/internal/machine.RunRandom":          "machine.RunRandomOpt",
 }
 
 // policed maps the funneled machine types to their sanctioning directive

@@ -3,7 +3,6 @@ package runnerctor
 import (
 	"compass/internal/check"
 	"compass/internal/litmus"
-	"compass/internal/machine"
 )
 
 func callsDeprecatedExhaustive(build func() check.Checked) *check.Report {
@@ -24,8 +23,4 @@ func callsDeprecatedRunWorkers(t litmus.Test) *litmus.Result {
 
 func callsConsolidatedLitmusRun(t litmus.Test) *litmus.Result {
 	return litmus.Run(t, 100, litmus.WithWorkers(2)) // ok: consolidated entry point
-}
-
-func callsDeprecatedRunRandom(build func() machine.Program) int {
-	return machine.RunRandom(build, 1, 0, 0, nil) // want `call to deprecated machine.RunRandom`
 }

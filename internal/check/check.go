@@ -390,16 +390,21 @@ func Run(name string, build func() Checked, opt Options) *Report {
 }
 
 // runSequential is the reference execution loop; it accounts for every
-// result it records, one ExecDone per execution.
+// result it records, one ExecDone per execution. The executions run on
+// one kept machine under one strategy reseeded for each, and each result
+// is judged before the next run reuses the machine.
 //
 //compass:accounting
 func runSequential(name string, build func() Checked, opt Options) *Report {
 	rep := &Report{Name: name}
-	runner := opt.Runner(false)
+	m := opt.Runner(false).Keep()
+	defer m.Close()
+	strat := machine.NewRandomBiased(opt.Seed, opt.StaleBias)
 	for i := 0; i < opt.Executions; i++ {
 		seed := opt.Seed + int64(i)
 		c := build()
-		res := runner.Run(c.Prog, machine.NewRandomBiased(seed, opt.StaleBias))
+		strat.Reset(seed)
+		res := m.Run(c.Prog, strat)
 		rep.Executions++
 		rep.Steps += res.Steps
 		opt.Stats.ExecDone(uint8(res.Status), res.Steps)
@@ -446,6 +451,9 @@ func (r *Report) attachStats(opt Options) *Report {
 // walks outcomes in index order applying the sequential stop rule,
 // discarding whatever overshoot the workers produced past it.
 //
+// Each worker runs its executions on its own kept machine under its own
+// reseeded strategy, as runSequential does.
+//
 //compass:accounting
 func runParallel(name string, build func() Checked, opt Options) *Report {
 	outcomes := make([]execOutcome, opt.Executions)
@@ -455,7 +463,9 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runner := opt.Runner(false)
+			m := opt.Runner(false).Keep()
+			defer m.Close()
+			strat := machine.NewRandomBiased(opt.Seed, opt.StaleBias)
 			for {
 				if atomic.LoadInt64(&stop) != 0 {
 					return
@@ -466,7 +476,8 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 				}
 				seed := opt.Seed + i
 				c := build()
-				res := runner.Run(c.Prog, machine.NewRandomBiased(seed, opt.StaleBias))
+				strat.Reset(seed)
+				res := m.Run(c.Prog, strat)
 				out := execOutcome{status: res.Status, err: res.Err, steps: res.Steps, done: true}
 				if res.Status == machine.OK {
 					out.violations, out.unknown = opt.evaluate(&c, res)

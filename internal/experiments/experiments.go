@@ -52,6 +52,13 @@ func (c Config) opts() check.Options {
 	}
 }
 
+// randomRunner returns a kept machine and a strategy with the given
+// stale bias for a loop of seeded-random executions: the loop reseeds
+// the strategy for each execution and closes the machine when it ends.
+func (c Config) randomRunner(staleBias float64) (*machine.Kept, *machine.RandomStrategy) {
+	return check.Options{}.Runner(false).Keep(), machine.NewRandomBiased(c.Seed, staleBias)
+}
+
 func (c Config) printf(format string, args ...interface{}) {
 	fmt.Fprintf(c.Out, format, args...)
 }

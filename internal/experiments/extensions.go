@@ -82,7 +82,7 @@ func X1Exhaustive(cfg Config) Summary {
 		}, spec.LevelHB, 1, 1, 1), true},
 	}
 	for _, r := range rows {
-		rep := check.Run(r.name, r.build, check.Options{Mode: check.ModeExhaustive, MaxRuns: 500000, Budget: 3000})
+		rep := check.Run(r.name, r.build, check.Options{Mode: check.ModeExhaustive, MaxRuns: 500000, Budget: 3000, Workers: cfg.Workers})
 		verdict := "PASS (proof for the instance)"
 		good := rep.Passed() && rep.Complete
 		if !r.expectPass {
@@ -268,6 +268,8 @@ func W2Reclamation(cfg Config) Summary {
 
 	// Reclamation progress.
 	freed, popped := 0, 0
+	m, strat := cfg.randomRunner(0.5)
+	defer m.Close()
 	for seed := int64(1); seed <= int64(cfg.Executions); seed++ {
 		var s *stack.TreiberHP
 		prog := machine.Program{
@@ -287,7 +289,8 @@ func W2Reclamation(cfg Config) Summary {
 				},
 			},
 		}
-		r := check.Options{}.Runner(false).Run(prog, machine.NewRandomBiased(seed, 0.5))
+		strat.Reset(seed)
+		r := m.Run(prog, strat)
 		if r.Status != machine.OK {
 			ok = false
 			continue

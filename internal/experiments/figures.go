@@ -146,9 +146,12 @@ func Fig3DeqPerm(cfg Config) Summary {
 	// accounting (CLIENT-DEQPERM: size(G.so) ≤ 2) on every execution,
 	// alongside QUEUE-EMPDEQ which rules out the empty right dequeue.
 	f := queueImpls()[1].Factory // Michael-Scott
+	m, strat := cfg.randomRunner(cfg.StaleBias)
+	defer m.Close()
 	for i := 0; i < cfg.Executions; i++ {
 		c := check.MPQueue(f, spec.LevelHB, true)()
-		res := check.Options{}.Runner(false).Run(c.Prog, machine.NewRandomBiased(cfg.Seed+int64(i), cfg.StaleBias))
+		strat.Reset(cfg.Seed + int64(i))
+		res := m.Run(c.Prog, strat)
 		if res.Status != machine.OK {
 			ok = false
 			continue
@@ -171,13 +174,16 @@ func Fig4HistStack(cfg Config) Summary {
 	ok := true
 	fastPath, searchPath, fail := 0, 0, 0
 	events := 0
+	m, strat := cfg.randomRunner(cfg.StaleBias)
+	defer m.Close()
 	for i := 0; i < cfg.Executions; i++ {
 		var s *stack.Treiber
 		c := check.StackMixed(func(th *machine.Thread) stack.Stack {
 			s = stack.NewTreiber(th, "trb")
 			return s
 		}, spec.LevelHB, 2, 2, 2, 3)()
-		res := check.Options{}.Runner(false).Run(c.Prog, machine.NewRandomBiased(cfg.Seed+int64(i), cfg.StaleBias))
+		strat.Reset(cfg.Seed + int64(i))
+		res := m.Run(c.Prog, strat)
 		if res.Status != machine.OK {
 			continue
 		}
@@ -218,9 +224,12 @@ func Fig5Exchanger(cfg Config) Summary {
 	cfg.printf("\n## F5 — Fig. 5 exchanger spec with helping\n\n")
 	ok := true
 	matched, failed := 0, 0
+	m, strat := cfg.randomRunner(cfg.StaleBias)
+	defer m.Close()
 	for i := 0; i < cfg.Executions; i++ {
 		c := check.ExchangerPairs(newExchanger, 4, 6)()
-		res := check.Options{}.Runner(false).Run(c.Prog, machine.NewRandomBiased(cfg.Seed+int64(i), cfg.StaleBias))
+		strat.Reset(cfg.Seed + int64(i))
+		res := m.Run(c.Prog, strat)
 		if res.Status != machine.OK {
 			ok = false
 			continue
@@ -242,7 +251,8 @@ func Fig5Exchanger(cfg Config) Summary {
 			Setup:   func(th *machine.Thread) { x = exchanger.New(th, "ex") },
 			Workers: workers,
 		}
-		res := check.Options{}.Runner(false).Run(prog, machine.NewRandomBiased(cfg.Seed+int64(i), cfg.StaleBias))
+		strat.Reset(cfg.Seed + int64(i))
+		res := m.Run(prog, strat)
 		if res.Status != machine.OK {
 			continue
 		}

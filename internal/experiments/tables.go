@@ -270,13 +270,16 @@ func T2CheckerCost(cfg Config) Summary {
 	}
 	var witnessTime time.Duration
 	checked, fastDecided := 0, 0
+	m, strat := cfg.randomRunner(cfg.StaleBias)
+	defer m.Close()
 	for i := 0; i < n; i++ {
 		var s *stack.Treiber
 		c := check.StackMixed(func(th *machine.Thread) stack.Stack {
 			s = stack.NewTreiber(th, "trb")
 			return s
 		}, spec.LevelHB, 2, 2, 2, 3)()
-		res := check.Options{}.Runner(false).Run(c.Prog, machine.NewRandomBiased(cfg.Seed+int64(i), cfg.StaleBias))
+		strat.Reset(cfg.Seed + int64(i))
+		res := m.Run(c.Prog, strat)
 		if res.Status != machine.OK {
 			continue
 		}
@@ -378,12 +381,14 @@ func A1Ablations(cfg Config) Summary {
 			}, spec.LevelHB, false)},
 	}
 	ok := true
-	runner := check.Options{}.Runner(false)
+	m, strat := cfg.randomRunner(0.6)
+	defer m.Close()
 	for _, a := range ablations {
 		detected, after, diag := false, 0, ""
 		for i := 0; i < cfg.Executions*5 && !detected; i++ {
 			c := a.build()
-			res := runner.Run(c.Prog, machine.NewRandomBiased(cfg.Seed+int64(i), 0.6))
+			strat.Reset(cfg.Seed + int64(i))
+			res := m.Run(c.Prog, strat)
 			after++
 			switch res.Status {
 			case machine.Racy, machine.Failed:

@@ -189,21 +189,7 @@ func explore(p Program, maxRuns, budget int, stats *telemetry.Stats) (f *Failure
 	if maxRuns <= 0 {
 		return nil, 0, false, 0, 0
 	}
-	inst, err := Build(p)
-	if err != nil {
-		return nil, 0, false, 0, 0
-	}
-	// The first run uses the instance just built; every later run builds
-	// its own, which cannot fail for a program that built once.
-	first := true
-	build := func() machine.Program {
-		if !first {
-			inst, _ = Build(p)
-		}
-		first = false
-		return inst.Checked.Prog
-	}
-	visit := func(r *machine.Result) bool {
+	visit := func(inst *Instance, r *machine.Result) bool {
 		if r.Status == machine.Budget {
 			discards++
 		}
@@ -219,8 +205,29 @@ func explore(p Program, maxRuns, budget int, stats *telemetry.Stats) (f *Failure
 		return true
 	}
 	opts := check.Options{MaxRuns: maxRuns, Budget: budget, Stats: stats}.ExploreOpts()
-	res := machine.Explore(build, opts, visit)
+	res := exploreInstances(p, opts, visit)
 	return f, res.Runs, res.Complete, unknowns, discards
+}
+
+// exploreInstances explores p with machine.Explore, each run on a fresh
+// instance, and hands visit each result with the instance it ran. It
+// explores nothing when p does not build.
+func exploreInstances(p Program, opts machine.ExploreOpts, visit func(*Instance, *machine.Result) bool) machine.ExploreResult {
+	inst, err := Build(p)
+	if err != nil {
+		return machine.ExploreResult{}
+	}
+	// The first run uses the instance just built; every later run builds
+	// its own, which cannot fail for a program that built once.
+	first := true
+	build := func() machine.Program {
+		if !first {
+			inst, _ = Build(p)
+		}
+		first = false
+		return inst.Checked.Prog
+	}
+	return machine.Explore(build, opts, func(r *machine.Result) bool { return visit(inst, r) })
 }
 
 // Config parameterizes a fuzzing campaign.
@@ -402,28 +409,35 @@ func Fuzz(cfg Config) (*Report, error) {
 // fuzzProgram runs both exploration phases on one program and returns its
 // first failure (or nil). execBase seeds the random phase: execution j
 // runs under deriveSeed(execBase, streamStep, j), which the returned
-// failure records as ExecSeed.
+// failure records as ExecSeed. The random executions run on one kept
+// machine under one recorded strategy, reseeded for each.
 //
 //compass:accounting
 func fuzzProgram(cfg Config, rep *Report, p Program, execBase int64) *Failure {
-	runner := check.Options{Budget: cfg.Budget, Stats: cfg.Stats}.Runner(false)
+	m := check.Options{Budget: cfg.Budget, Stats: cfg.Stats}.Runner(false).Keep()
+	defer m.Close()
+	strat := machine.NewRandomBiased(execBase, cfg.StaleBias)
+	rec := machine.Record(strat)
 	for j := 0; j < cfg.Execs; j++ {
 		inst, err := Build(p)
 		if err != nil {
 			return nil
 		}
 		execSeed := deriveSeed(execBase, streamStep, int64(j))
-		strat := machine.Record(machine.NewRandomBiased(execSeed, cfg.StaleBias))
-		r := runner.Run(inst.Checked.Prog, strat)
+		strat.Reset(execSeed)
+		rec.Trace = rec.Trace[:0]
+		r := m.Run(inst.Checked.Prog, rec)
 		rep.Execs++
 		if r.Status == machine.Budget {
 			rep.Discarded++
 		}
 		cfg.Stats.ExecDone(uint8(r.Status), r.Steps)
 		cfg.Stats.FuzzExec(r.Status == machine.Budget)
-		f, unk := judge(p, inst, r, strat.Trace, cfg.Stats)
+		f, unk := judge(p, inst, r, rec.Trace, cfg.Stats)
 		rep.Unknown += unk
 		if f != nil {
+			// The next execution would reuse the decision array.
+			f.Decisions = append([]machine.Decision(nil), f.Decisions...)
 			f.ExecSeed = execSeed
 			return f
 		}

@@ -50,16 +50,22 @@ func (s *shrinker) attempt(p Program, ds []machine.Decision) *Failure {
 // or op perturbs the decision tree, so this is what keeps aggressive
 // structural shrinks viable.
 func (s *shrinker) rediscover(p Program) *Failure {
-	runner := check.Options{Budget: s.budget}.Runner(false)
+	m := check.Options{Budget: s.budget}.Runner(false).Keep()
+	defer m.Close()
+	strat := machine.NewRandomBiased(0, 0.7)
+	rec := machine.Record(strat)
 	for seed := int64(0); seed < 80 && !s.spent(); seed++ {
 		inst, err := Build(p)
 		if err != nil {
 			return nil
 		}
-		strat := machine.Record(machine.NewRandomBiased(seed, 0.7))
-		r := runner.Run(inst.Checked.Prog, strat)
+		strat.Reset(seed)
+		rec.Trace = rec.Trace[:0]
+		r := m.Run(inst.Checked.Prog, rec)
 		s.replays++
-		if f, _ := judge(p, inst, r, strat.Trace, nil); f != nil && f.Key == s.key {
+		if f, _ := judge(p, inst, r, rec.Trace, nil); f != nil && f.Key == s.key {
+			// The next probe would reuse the decision array.
+			f.Decisions = append([]machine.Decision(nil), f.Decisions...)
 			return f
 		}
 	}
@@ -223,41 +229,30 @@ func (s *shrinker) reschedule(f *Failure) *Failure {
 	return best
 }
 
-// exploreDepth is the explorer from run.go with branching capped at
-// maxDepth decisions: decisions past the cap always replay the default
-// branch, so every found failure has effLen ≤ maxDepth.
+// exploreDepth explores the program depth-first with machine.Explore,
+// branching on at most maxDepth decisions: decisions past the cap always
+// take the default branch, so every found failure has effLen ≤ maxDepth.
+// Every run counts as a replay, and the search stops at the first run
+// that fails with the shrinker's class or once the budget is spent.
 func (s *shrinker) exploreDepth(p Program, maxDepth int) *Failure {
-	runner := check.Options{Budget: s.budget}.Runner(false)
-	var prefix []machine.Decision
-	for runs := 0; runs < rescheduleRuns && !s.spent(); runs++ {
-		inst, err := Build(p)
-		if err != nil {
-			return nil
-		}
-		strat := machine.ReplayStrategy(prefix)
-		r := runner.Run(inst.Checked.Prog, strat)
-		s.replays++
-		if g, _ := judge(p, inst, r, strat.Trace, nil); g != nil && g.Key == s.key {
-			g.Decisions = append([]machine.Decision(nil), strat.Trace[:effLen(strat.Trace)]...)
-			return g
-		}
-		trace := strat.Trace
-		i := len(trace) - 1
-		if i >= maxDepth {
-			i = maxDepth - 1
-		}
-		for ; i >= 0; i-- {
-			if trace[i].Pick+1 < trace[i].N {
-				break
-			}
-		}
-		if i < 0 {
-			return nil
-		}
-		prefix = append(append([]machine.Decision{}, trace[:i]...),
-			machine.Decision{N: trace[i].N, Pick: trace[i].Pick + 1})
+	if s.spent() {
+		return nil
 	}
-	return nil
+	var hit *Failure
+	visit := func(inst *Instance, r *machine.Result) bool {
+		s.replays++
+		if g, _ := judge(p, inst, r, r.Decisions(), nil); g != nil && g.Key == s.key {
+			ds := r.Decisions()
+			g.Decisions = append([]machine.Decision(nil), ds[:effLen(ds)]...)
+			hit = g
+			return false
+		}
+		return !s.spent()
+	}
+	opts := check.Options{MaxRuns: rescheduleRuns, Budget: s.budget}.ExploreOpts()
+	opts.MaxDepth = maxDepth
+	exploreInstances(p, opts, visit)
+	return hit
 }
 
 // shrinkDecisions minimizes the schedule for a fixed program, iterating

@@ -105,7 +105,8 @@ func (r *Result) Decisions() []Decision { return r.decisions }
 // the memory event that took memory.Memory.Step from k to k+1, the
 // counter core.Recorder stamps StartStep and CommitStep from. For an
 // explorer's run it is valid only while the explorer visits the result,
-// like Decisions; a Result from Runner.Run owns it.
+// like Decisions, and for a run on a Kept machine only until its next
+// run; a Result from Runner.Run owns it.
 func (r *Result) StepThreads() []int { return r.stepThreads }
 
 // Trace renders the recorded events as the legacy human-readable
@@ -455,10 +456,10 @@ type controller struct {
 	// stepThreads records the thread of every memory step (see memStep
 	// and Result.StepThreads); reset keeps its array.
 	stepThreads []int
-	// keep marks a machine the explorers keep for a whole exploration:
-	// each thread's coroutine then outlives its body and runs the
-	// thread's next body, of this run or the next. unwinding is set while
-	// unwind ends the bodies still parked when a run ends.
+	// keep marks a Kept machine: each thread's coroutine then outlives
+	// its body and runs the thread's next body, of this run or the next.
+	// unwinding is set while unwind ends the bodies still parked when a
+	// run ends.
 	keep      bool
 	unwinding bool
 	// scheduling is set while schedule runs the parked threads: a
@@ -674,12 +675,45 @@ func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	return r.run(c, prog, strat, 0)
 }
 
-// run is Run on the machine c, which it resets first: the explorers pass
-// the one they keep for all their runs, so a run reuses the memory,
-// thread views, coroutines and buffers of the run before it. logCap is a
-// capacity hint for the step-event log, used only when tracing: the
-// explorers pass the longest log seen so far in their exploration, so a
-// run's log is allocated once instead of growing by doubling from empty.
+// Kept is a machine kept for a loop of runs under one Runner's settings:
+// one controller, reset between runs, whose thread coroutines outlive
+// each run (see controller.loop). A run on it reuses the memory, thread
+// views, coroutines and buffers of the run before, which Runner.Run
+// builds afresh. The explorers run every execution on one, and so do the
+// loops that run seeded-random executions back to back. A Kept runs one
+// execution at a time: keep one per goroutine.
+type Kept struct {
+	r *Runner
+	c *controller
+	// logCap is the longest step-event log so far (see Runner.run).
+	logCap int
+}
+
+// Keep returns a machine kept for runs under r. Close it, with defer,
+// when the loop ends: that stops its coroutines whether the loop
+// returns, stops early or panics.
+func (r *Runner) Keep() *Kept { return &Kept{r: r, c: &controller{keep: true}} }
+
+// Run executes prog under strat on the kept machine, as Runner.Run does
+// on a fresh one, and surfaces a panic the same way. The Result is valid
+// only until the next Run: its StepThreads points into the machine's
+// record, which the next run overwrites. Its Events and Outcome are the
+// caller's.
+func (k *Kept) Run(prog Program, strat Strategy) *Result {
+	res := k.r.run(k.c, prog, strat, k.logCap)
+	k.logCap = max(k.logCap, len(res.Events))
+	return res
+}
+
+// Close stops the coroutine of every thread the machine ever had.
+func (k *Kept) Close() { k.c.stopAll() }
+
+// run is Run on the machine c, which it resets first: a Kept passes its
+// machine, so a run reuses the memory, thread views, coroutines and
+// buffers of the run before it. logCap is a capacity hint for the
+// step-event log, used only when tracing: a Kept passes the longest log
+// it has seen, so a run's log is allocated once instead of growing by
+// doubling from empty.
 // The hint is capped at the step budget. The log is still fresh per run:
 // every Result owns its Events. Before it returns, run unwinds every body
 // still parked, also when a panic propagates.
@@ -1000,8 +1034,8 @@ func (c *controller) unwind() {
 
 // stopAll ends the coroutine of every thread the machine ever had,
 // including threads beyond the last run's count, unwinding any body still
-// parked. Runner.Run defers it, and so do the explorers for their kept
-// machines, so it also runs when a panic propagates.
+// parked. Runner.Run defers it, and Kept.Close calls it, which the loops
+// that keep a machine defer, so it also runs when a panic propagates.
 func (c *controller) stopAll() {
 	for _, t := range c.threads[:cap(c.threads)] {
 		if t != nil && t.stop != nil {

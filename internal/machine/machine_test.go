@@ -330,9 +330,9 @@ func TestRunRandomCountsOK(t *testing.T) {
 		t.Fatalf("telemetry execs = %d (ok=%d), want 10 accounted ok executions",
 			snap.Machine.Execs, snap.Machine.ExecsByStatus["ok"])
 	}
-	// The deprecated wrapper delegates: same results, no telemetry.
+	// Without a telemetry sink the results are the same.
 	if w := RunRandomOpt(build, 10, 42, ExploreOpts{}, func(r *Result) bool { return true }); w != n {
-		t.Fatalf("RunRandom wrapper ok count = %d, want %d", w, n)
+		t.Fatalf("ok count without telemetry = %d, want %d", w, n)
 	}
 }
 

@@ -37,7 +37,11 @@ func withDigest(prog machine.Program) machine.Program {
 // one recycled machine per worker. Each run must equal a replay of its
 // decision sequence on a fresh machine (Runner.Run): same status, steps,
 // outcome, trace, per-step thread record and final canonical state, so
-// nothing of one run leaks into the next.
+// nothing of one run leaks into the next. The random loops keep a
+// machine too (Runner.Keep), under one strategy reseeded for each run:
+// each such run must equal a fresh Runner.Run under a fresh
+// NewRandomBiased strategy with its seed and bias (the random/...
+// subtests).
 //
 // Library workloads tag their event graphs from a process-wide counter
 // during setup, and the tags reach memory and traces. So every run holds
@@ -59,7 +63,7 @@ func TestRecycledRunsMatchFreshReplays(t *testing.T) {
 		}
 	}
 	const budget, maxRuns = 4000, 100
-	seen := map[machine.Status]int{}
+	seen, random := map[machine.Status]int{}, map[machine.Status]int{}
 	resumes := 0
 	for _, p := range progs {
 		var mu sync.Mutex
@@ -109,16 +113,33 @@ func TestRecycledRunsMatchFreshReplays(t *testing.T) {
 				})
 			}
 		}
-	}
-	for _, st := range []machine.Status{machine.OK, machine.Pruned, machine.Deduped} {
-		if seen[st] == 0 {
-			t.Errorf("no %v run replayed (saw %v)", st, seen)
+		for _, por := range []machine.PORMode{machine.POROff, machine.PORSource} {
+			t.Run(fmt.Sprintf("random/%s/%v", p.name, por), func(t *testing.T) {
+				for st, n := range randomRunsMatchFresh(t, fresh, &machine.Runner{POR: por, Budget: budget}) {
+					random[st] += n
+				}
+			})
 		}
 	}
-	if resumes == 0 {
-		t.Error("no parallel exploration was paused and resumed")
+	// Run by name, the test may have run only the explorer subtests or
+	// only the random ones.
+	if len(seen) > 0 {
+		for _, st := range []machine.Status{machine.OK, machine.Pruned, machine.Deduped} {
+			if seen[st] == 0 {
+				t.Errorf("no %v run replayed (saw %v)", st, seen)
+			}
+		}
+		if resumes == 0 {
+			t.Error("no parallel exploration was paused and resumed")
+		}
+		t.Logf("replayed %v runs; %d resumed segments", seen, resumes)
 	}
-	t.Logf("replayed %v runs; %d resumed segments", seen, resumes)
+	if len(random) > 0 {
+		if random[machine.OK] == 0 {
+			t.Errorf("no random run ended ok (saw %v)", random)
+		}
+		t.Logf("matched %v random runs", random)
+	}
 }
 
 // replayDiff replays r's decisions on a fresh machine and reports how the
@@ -145,4 +166,40 @@ func replayDiff(build func() machine.Program, por machine.PORMode, budget int, r
 		return fmt.Errorf("%d memory steps, but %d in the step-thread record", r.Outcome["memory steps"], len(r.StepThreads()))
 	}
 	return nil
+}
+
+// randomRunsMatchFresh runs build's programs for a range of seeds and
+// stale biases on one kept machine, with one strategy per bias reseeded
+// for each run, and requires each run to equal a fresh Runner.Run under
+// a fresh strategy with the same seed and bias. It returns the runs'
+// statuses.
+func randomRunsMatchFresh(t *testing.T, build func() machine.Program, runner *machine.Runner) map[machine.Status]int {
+	t.Helper()
+	m := runner.Keep()
+	defer m.Close()
+	biases := []float64{0, 0.5, 1}
+	strats := make([]*machine.RandomStrategy, len(biases))
+	for i, bias := range biases {
+		strats[i] = machine.NewRandomBiased(-1, bias)
+	}
+	seen := map[machine.Status]int{}
+	for seed := int64(0); seed < 30; seed++ {
+		for i, bias := range biases {
+			strats[i].Reset(seed)
+			r := m.Run(build(), strats[i])
+			seen[r.Status]++
+			got := runner.Run(build(), machine.NewRandomBiased(seed, bias))
+			switch {
+			case got.Status != r.Status || got.Steps != r.Steps || fmt.Sprint(got.Err) != fmt.Sprint(r.Err):
+				t.Fatalf("seed %d, bias %v: kept run %v (%v) after %d steps, fresh run %v (%v) after %d", seed, bias, r.Status, r.Err, r.Steps, got.Status, got.Err, got.Steps)
+			case !maps.Equal(got.Outcome, r.Outcome):
+				t.Fatalf("seed %d, bias %v: kept run reported %v, fresh run %v", seed, bias, r.Outcome, got.Outcome)
+			case !slices.Equal(got.StepThreads(), r.StepThreads()):
+				t.Fatalf("seed %d, bias %v: kept run stepped threads %v, fresh run %v", seed, bias, r.StepThreads(), got.StepThreads())
+			case r.Status == machine.OK && int64(len(r.StepThreads())) != r.Outcome["memory steps"]:
+				t.Fatalf("seed %d, bias %v: %d memory steps, but %d in the step-thread record", seed, bias, r.Outcome["memory steps"], len(r.StepThreads()))
+			}
+		}
+	}
+	return seen
 }

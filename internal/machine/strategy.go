@@ -14,8 +14,12 @@ import (
 // executions replayable from the seed alone. StaleBias controls how often
 // a read deliberately picks a stale (non-latest) visible message; the
 // remaining probability mass goes to the latest message so spin loops
-// terminate quickly.
+// terminate quickly. The PRNG is math/rand's, over a source that yields
+// exactly rand.NewSource(seed)'s stream but seeds in O(1) (see
+// exactSource), so a loop of executions keeps one strategy and reseeds
+// it with Reset.
 type RandomStrategy struct {
+	src       exactSource
 	rng       *rand.Rand
 	staleBias float64
 }
@@ -23,15 +27,22 @@ type RandomStrategy struct {
 // NewRandom returns a random strategy with the given seed and a default
 // stale-read bias of 0.4.
 func NewRandom(seed int64) *RandomStrategy {
-	return &RandomStrategy{rng: rand.New(rand.NewSource(seed)), staleBias: 0.4}
+	return NewRandomBiased(seed, 0.4)
 }
 
 // NewRandomBiased returns a random strategy with an explicit stale-read
 // bias in [0,1]: 0 always reads the latest message (SC-like per location),
 // 1 picks uniformly among all visible messages.
 func NewRandomBiased(seed int64, staleBias float64) *RandomStrategy {
-	return &RandomStrategy{rng: rand.New(rand.NewSource(seed)), staleBias: staleBias}
+	s := &RandomStrategy{staleBias: staleBias}
+	s.rng = rand.New(&s.src)
+	s.Reset(seed)
+	return s
 }
+
+// Reset reseeds the strategy: it then makes the decisions a fresh
+// strategy with this seed and the same bias makes. It allocates nothing.
+func (s *RandomStrategy) Reset(seed int64) { s.rng.Seed(seed) }
 
 // PickThread picks uniformly among the runnable threads.
 func (s *RandomStrategy) PickThread(runnable []int) int {
@@ -230,25 +241,22 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
-	// Every run reuses one machine (see Runner.run), whose thread
-	// coroutines live until Explore returns. Each run records its
-	// decisions into one of two alternating buffers while replaying the
-	// previous run's trace, cut back and bumped in place, as its prefix.
-	// logCap is the longest step-event log so far.
-	c := &controller{keep: true}
-	defer c.stopAll()
+	// Every run reuses one kept machine, whose thread coroutines live
+	// until Explore returns. Each run records its decisions into one of
+	// two alternating buffers while replaying the previous run's trace,
+	// cut back and bumped in place, as its prefix.
+	m := runner.Keep()
+	defer m.Close()
 	var bufs [2][]Decision
 	var prefix []Decision
 	strat := &TraceStrategy{}
-	logCap := 0
 	res := ExploreResult{}
 	for res.Runs < maxRuns {
 		opts.Stats.PrefixClaimed(len(prefix))
 		slot := res.Runs % 2
 		strat.prefix, strat.pos, strat.Trace = prefix, 0, bufs[slot][:0]
-		r := runner.run(c, build(), strat, logCap)
+		r := m.Run(build(), strat)
 		r.decisions = strat.Trace
-		logCap = max(logCap, len(r.Events))
 		res.Runs++
 		opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		if !visit(r) {
@@ -299,8 +307,8 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 // though results already in flight on other workers are still visited.
 //
 // ExploreParallel is a sanctioned spawn point: its goroutines are harness
-// workers above the simulator, each running whole executions through
-// Runner.Run, never simulated threads.
+// workers above the simulator, each running whole executions on its own
+// kept machine, never simulated threads.
 //
 //compass:scheduler
 func ExploreParallel(opts ExploreOpts, newWorker func() (build func() Program, visit func(*Result) bool)) ExploreResult {
@@ -410,25 +418,22 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
 	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
-	// One machine serves every run of this worker (see Runner.run), its
-	// thread coroutines living until the worker returns, and one decision
+	// One kept machine serves every run of this worker, its thread
+	// coroutines living until the worker returns, and one decision
 	// buffer: children copy out of it before they reach the shared
-	// frontier. logCap is the longest step-event log this worker has
-	// seen.
-	c := &controller{keep: true}
-	defer c.stopAll()
+	// frontier.
+	m := runner.Keep()
+	defer m.Close()
 	var buf []Decision
 	strat := &TraceStrategy{}
-	logCap := 0
 	for {
 		prefix, ok := e.next()
 		if !ok {
 			return
 		}
 		strat.prefix, strat.pos, strat.Trace = prefix, 0, buf[:0]
-		r := runner.run(c, build(), strat, logCap)
+		r := m.Run(build(), strat)
 		r.decisions = strat.Trace
-		logCap = max(logCap, len(r.Events))
 		buf = strat.Trace
 		e.opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		keep := visit(r)
@@ -494,14 +499,20 @@ func (s *Recorded) Choose(n int) int {
 // taken from opts — and every execution is accounted with one ExecDone,
 // so telemetry totals equal what visit observed. MaxRuns, MaxDepth,
 // Workers, Resume, and PauseRuns are exploration-tree concepts and are
-// ignored: random sampling has no decision tree.
+// ignored: random sampling has no decision tree. The executions run on
+// one kept machine under one reseeded strategy, so a result's
+// StepThreads is valid only during its visit.
 //
 //compass:accounting
 func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, visit func(*Result) bool) int {
 	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	m := runner.Keep()
+	defer m.Close()
+	strat := NewRandom(seed)
 	ok := 0
 	for i := 0; i < n; i++ {
-		r := runner.Run(build(), NewRandom(seed+int64(i)))
+		strat.Reset(seed + int64(i))
+		r := m.Run(build(), strat)
 		opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		if r.Status == OK {
 			ok++
@@ -511,16 +522,4 @@ func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, vis
 		}
 	}
 	return ok
-}
-
-// RunRandom executes the program n times with seeds seed, seed+1, ...,
-// invoking visit for each result.
-//
-// Deprecated: use RunRandomOpt. This wrapper used to construct a bare
-// Runner with no Stats/Footprint/POR plumbing and recorded no ExecDone,
-// silently diverging from the accounted paths; it now delegates to
-// RunRandomOpt with only the budget set, preserving its historical
-// behaviour (no telemetry) without a second runner-construction site.
-func RunRandom(build func() Program, n int, seed int64, budget int, visit func(*Result) bool) int {
-	return RunRandomOpt(build, n, seed, ExploreOpts{Budget: budget}, visit)
 }

@@ -178,6 +178,94 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestKeptLeavesNoGoroutines: a kept machine keeps one coroutine per
+// thread across its runs, so while it runs the goroutine count is at
+// most its start plus the largest program's threads, whichever way the
+// runs end. Once the machine is closed the count is back at its start,
+// and a deferred Close brings it back after a body's panic too, also
+// under RunRandomOpt.
+func TestKeptLeavesNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see noLeak
+	base := runtime.NumGoroutine()
+	builds := []func() Program{
+		sbProgram,
+		func() Program { return Program{Workers: []func(*Thread){spin, spin, spin}} },
+		func() Program {
+			return Program{Workers: []func(*Thread){spin, func(th *Thread) { th.Yield(); th.Failf("worker") }}}
+		},
+		func() Program {
+			var x view.Loc
+			return Program{
+				Setup: func(th *Thread) { x = th.Alloc("x", 0) },
+				Workers: []func(*Thread){
+					func(th *Thread) { th.Write(x, 1, memory.NA) },
+					func(th *Thread) { th.Write(x, 2, memory.NA); spin(th) },
+				},
+			}
+		},
+	}
+	seen := map[Status]int{}
+	m := (&Runner{Budget: 50}).Keep()
+	strat := NewRandom(0)
+	for i := 0; i < 40; i++ {
+		strat.Reset(int64(i))
+		r := m.Run(builds[i%len(builds)](), strat)
+		seen[r.Status]++
+		if n := runtime.NumGoroutine(); n > base+4 {
+			t.Fatalf("run %d (%v): %d goroutines, want at most 4 more than %d", i, r.Status, n, base)
+		}
+	}
+	m.Close()
+	noLeak(t, &base, "closed kept machine")
+	for _, st := range []Status{OK, Racy, Budget, Failed} {
+		if seen[st] == 0 {
+			t.Errorf("no %v run on the kept machine (saw %v)", st, seen)
+		}
+	}
+
+	// A body's panic at the fourth run, with a spinning worker parked
+	// and coroutines left waiting by the runs before.
+	boom := func(runs *int) func() Program {
+		return func() Program {
+			*runs++
+			n := *runs
+			return Program{Workers: []func(*Thread){spin, func(th *Thread) {
+				th.Yield()
+				if n == 4 {
+					panic("kept boom")
+				}
+			}}}
+		}
+	}
+	runs := 0
+	build := boom(&runs)
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		m := (&Runner{Budget: 20}).Keep()
+		defer m.Close()
+		for i := 0; i < 10; i++ {
+			strat.Reset(int64(i))
+			m.Run(build(), strat)
+		}
+		return nil
+	}()
+	if got != "kept boom" || runs != 4 {
+		t.Fatalf("kept machine panicked with %v at run %d, want kept boom at run 4", got, runs)
+	}
+	noLeak(t, &base, "kept machine that panicked")
+
+	runs = 0
+	got = func() (p any) {
+		defer func() { p = recover() }()
+		RunRandomOpt(boom(&runs), 10, 1, ExploreOpts{Budget: 20}, func(*Result) bool { return true })
+		return nil
+	}()
+	if got != "kept boom" || runs != 4 {
+		t.Fatalf("RunRandomOpt panicked with %v at run %d, want kept boom at run 4", got, runs)
+	}
+	noLeak(t, &base, "RunRandomOpt that panicked")
+}
+
 // TestDeferredStepDuringUnwind: a body parked when its run ends is
 // unwound, and a step it calls while unwinding (here from a deferred
 // call) panics at once instead of parking it again. Otherwise the kept

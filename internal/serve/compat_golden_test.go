@@ -46,10 +46,31 @@ func compatLine(t *testing.T, name string, mode check.PORMode, runs int, d *mach
 	return fmt.Sprintf("%s por=%s runs=%d dedup=%x telemetry=%x", name, mode, runs, sha256.Sum256(dj), sha256.Sum256(sj))
 }
 
+// compatRandomLine renders one seeded random library job as
+// "<workload> mode=random seed=S execs=N report=<sha256>
+// telemetry=<sha256>": the digests cover the projected report and the
+// telemetry snapshot, which is what a random job's checkpoint persists.
+// Such a job resumes at the next seed index, so a change to the
+// execution a seed selects would splice two streams into one report.
+func compatRandomLine(t *testing.T, name string, seed int64, rep *check.Report, stats *telemetry.Stats) string {
+	t.Helper()
+	rj, err := json.Marshal(projectReport(rep))
+	if err != nil {
+		t.Fatalf("%s: report: %v", name, err)
+	}
+	sj, err := json.Marshal(stats.Snapshot())
+	if err != nil {
+		t.Fatalf("%s: telemetry: %v", name, err)
+	}
+	return fmt.Sprintf("%s mode=random seed=%d execs=%d report=%x telemetry=%x", name, seed, rep.Executions, sha256.Sum256(rj), sha256.Sum256(sj))
+}
+
 // compatLines explores every configuration serially with a fresh dedup
 // set and telemetry sink: the litmus suite and the footprint workloads
 // under each POR mode (STAR5 at source only; it does not finish
-// unreduced), and the library corpus at source.
+// unreduced), and the library corpus at source. It also runs each
+// library workload as a serial seeded random job with the refinement
+// oracle on and a fresh telemetry sink.
 func compatLines(t *testing.T) []string {
 	var lines []string
 	for _, tc := range append(litmus.Suite(), litmus.FootprintSuite()...) {
@@ -73,11 +94,17 @@ func compatLines(t *testing.T) []string {
 		}
 		lines = append(lines, compatLine(t, lt.Name, check.PORSource, res.Runs, d, stats))
 	}
+	const seed, execs = 11, 100
+	for _, lt := range litmus.LibrarySuite() {
+		stats := telemetry.New()
+		rep := check.Run(lt.Name, lt.Build, check.Options{Seed: seed, Executions: execs, Refine: true, Workers: 1, Stats: stats})
+		lines = append(lines, compatRandomLine(t, lt.Name, seed, rep, stats))
+	}
 	return lines
 }
 
 // parseCompat splits a golden file into its recorded version and its
-// lines keyed by "<workload> por=<mode>".
+// lines keyed by compatKey.
 func parseCompat(t *testing.T, data string) (int, map[string]string) {
 	t.Helper()
 	rows := strings.Split(strings.TrimRight(data, "\n"), "\n")
@@ -92,7 +119,8 @@ func parseCompat(t *testing.T, data string) (int, map[string]string) {
 	return version, byKey
 }
 
-// compatKey is the "<workload> por=<mode>" prefix of a golden line.
+// compatKey is the "<workload> por=<mode>" or "<workload> mode=random"
+// prefix of a golden line.
 func compatKey(line string) string {
 	f := strings.Fields(line)
 	if len(f) < 2 {
