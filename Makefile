@@ -93,10 +93,10 @@ servesmoke:
 # Multi-process sharding smoke: the lease matrix (two peers vs
 # single-process byte-identity, peer SIGKILLed mid-lease, coordinator
 # crash + epoch-bumped resume, idempotent returns) and the /v1 HTTP
-# lifecycle. CI's compassd-shard job runs these and a shell-level
+# lifecycle, including the refusal of removed spec fields. CI's compassd-shard job runs these and a shell-level
 # coordinator + two-peer smoke with one peer killed mid-run.
 shardsmoke:
-	$(GO) test ./internal/serve -run 'TestShard|TestHTTP|TestSubmitDuringShutdown|TestKillResumeDedup' -count=1 -v
+	$(GO) test ./internal/serve -run 'TestShard|TestHTTP|TestSubmitDuringShutdown' -count=1 -v
 
 # Quick benchmark pass over the tier-1 set (see cmd/benchreport), plus
 # the logical-view joins, lib/deque's bytes and allocations per

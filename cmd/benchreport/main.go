@@ -69,7 +69,6 @@ type Report struct {
 	Pruning    *PruningReport `json:"pruning,omitempty"`
 	POR        *PORReport     `json:"por,omitempty"`
 	Plan       *PlanReport    `json:"plan,omitempty"`
-	Dedup      *DedupReport   `json:"dedup,omitempty"`
 }
 
 // PruningReport records footprint-pruning effectiveness: the litmus suite
@@ -144,19 +143,18 @@ func measurePruning(maxRuns int) (*PruningReport, error) {
 
 // PORReport records partial-order reduction effectiveness: the litmus
 // suite plus the footprint-rich workloads, each explored exhaustively
-// three times — reduction off, static sleep sets, and source-DPOR.
-// Unlike footprint pruning — which removes per-access work at identical
-// execution counts — POR removes whole executions, so the headline
-// numbers here are per-test execution counts and the sweeps' wall-clock
-// deltas. Outcome *sets* are identical in all three modes by
-// construction (the equivalence test in internal/litmus asserts it, and
-// measurePOR re-checks per test and mode before recording).
+// twice — reduction off and source-DPOR. Unlike footprint pruning —
+// which removes per-access work at identical execution counts — POR
+// removes whole executions, so the headline numbers here are per-test
+// execution counts and the sweeps' wall-clock deltas. Outcome *sets* are
+// identical in both modes by construction (the equivalence test in
+// internal/litmus asserts it, and measurePOR re-checks per test before
+// recording).
 type PORReport struct {
 	Tests         []PORTest `json:"tests"`
 	SecondsOff    float64   `json:"seconds_off"`
-	SecondsSleep  float64   `json:"seconds_sleep"`
 	SecondsSource float64   `json:"seconds_source"`
-	// BranchesSkipped is the sleep-set sweep's por_branches_skipped
+	// BranchesSkipped is the source-DPOR sweep's por_branches_skipped
 	// telemetry total: scheduling branches not taken because the thread
 	// was asleep.
 	BranchesSkipped int64 `json:"branches_skipped"`
@@ -170,11 +168,10 @@ type PORReport struct {
 	StaleReadsSkipped int64 `json:"stale_reads_skipped"`
 }
 
-// PORTest is one test's execution counts in the three reduction modes.
+// PORTest is one test's execution counts in the two reduction modes.
 type PORTest struct {
 	Name        string `json:"name"`
 	ExecsOff    int    `json:"execs_off"`
-	ExecsSleep  int    `json:"execs_sleep"`
 	ExecsSource int    `json:"execs_source"`
 }
 
@@ -192,11 +189,11 @@ func outcomeSetsEqual(a, b map[string]int) bool {
 	return true
 }
 
-// measurePOR runs the exhaustive litmus suite three times — reduction
-// off, sleep sets, source-DPOR — and records per-test execution counts
-// plus the per-sweep wall clock. Any test failure or outcome-set
-// divergence aborts: a BENCH file must never record reduction numbers
-// from a sweep whose outcomes were wrong.
+// measurePOR runs the exhaustive litmus suite twice — reduction off,
+// then source-DPOR — and records per-test execution counts plus the
+// per-sweep wall clock. Any test failure or outcome-set divergence
+// aborts: a BENCH file must never record reduction numbers from a sweep
+// whose outcomes were wrong.
 func measurePOR(maxRuns int) (*PORReport, error) {
 	rep := &PORReport{}
 	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
@@ -210,43 +207,24 @@ func measurePOR(maxRuns int) (*PORReport, error) {
 	}
 	rep.SecondsOff = time.Since(startOff).Seconds()
 
-	sweep := func(mode compass.PORMode) ([]int, float64, *compass.Telemetry, error) {
-		stats := compass.NewTelemetry()
-		start := time.Now()
-		runs := make([]int, len(tests))
-		for i, t := range tests {
-			res := compass.RunLitmus(t, maxRuns, compass.WithStats(stats), compass.WithPORMode(mode))
-			if !res.OK() {
-				return nil, 0, nil, fmt.Errorf("%s: exploration failed (por=%v):\n%s", t.Name, mode, res)
-			}
-			if !outcomeSetsEqual(off[i].Outcomes, res.Outcomes) {
-				return nil, 0, nil, fmt.Errorf("%s: outcome sets diverged under por=%v:\noff: %v\npor: %v",
-					t.Name, mode, off[i].Outcomes, res.Outcomes)
-			}
-			runs[i] = res.Runs
-		}
-		return runs, time.Since(start).Seconds(), stats, nil
-	}
-
-	sleepRuns, sleepSecs, sleepStats, err := sweep(compass.PORSleep)
-	if err != nil {
-		return nil, err
-	}
-	sourceRuns, sourceSecs, sourceStats, err := sweep(compass.PORSource)
-	if err != nil {
-		return nil, err
-	}
-	rep.SecondsSleep = sleepSecs
-	rep.SecondsSource = sourceSecs
-	rep.BranchesSkipped = sleepStats.Snapshot().Explore.PORBranchesSkipped
-	srcSnap := sourceStats.Snapshot()
-	rep.RacesReversed = srcSnap.Explore.PORRacesReversed
-	rep.StaleReadsSkipped = srcSnap.Explore.PORStaleReadsSkipped
+	stats := compass.NewTelemetry()
+	startSource := time.Now()
 	for i, t := range tests {
-		rep.Tests = append(rep.Tests, PORTest{
-			Name: t.Name, ExecsOff: off[i].Runs, ExecsSleep: sleepRuns[i], ExecsSource: sourceRuns[i],
-		})
+		res := compass.RunLitmus(t, maxRuns, compass.WithStats(stats), compass.WithPORMode(compass.PORSource))
+		if !res.OK() {
+			return nil, fmt.Errorf("%s: exploration failed (por=source):\n%s", t.Name, res)
+		}
+		if !outcomeSetsEqual(off[i].Outcomes, res.Outcomes) {
+			return nil, fmt.Errorf("%s: outcome sets diverged under por=source:\noff: %v\npor: %v",
+				t.Name, off[i].Outcomes, res.Outcomes)
+		}
+		rep.Tests = append(rep.Tests, PORTest{Name: t.Name, ExecsOff: off[i].Runs, ExecsSource: res.Runs})
 	}
+	rep.SecondsSource = time.Since(startSource).Seconds()
+	snap := stats.Snapshot()
+	rep.BranchesSkipped = snap.Explore.PORBranchesSkipped
+	rep.RacesReversed = snap.Explore.PORRacesReversed
+	rep.StaleReadsSkipped = snap.Explore.PORStaleReadsSkipped
 	return rep, nil
 }
 
@@ -345,91 +323,14 @@ func measurePlan(maxRuns int) (*PlanReport, error) {
 	return rep, nil
 }
 
-// DedupReport records state-space deduplication effectiveness: the
-// litmus suite plus the footprint-rich workloads, each explored
-// exhaustively in every POR mode — off, sleep sets, source-DPOR — twice:
-// without and with a fresh unbounded dedup visited set. Dedup composes
-// with POR (it cuts runs that re-enter an already-claimed canonical
-// state at a free decision), so the headline numbers are per-test,
-// per-mode execution counts plus the two sweeps' wall clocks. Outcome
-// sets are identical by construction (TestDedupEquivalence in
-// internal/litmus asserts it, and measureDedup re-checks per test and
-// mode before recording). Single-worker on both sides: with parallel
-// workers the fingerprint claim order is racy and the dedup-side counts
-// would not be comparable across snapshots.
-type DedupReport struct {
-	Tests        []DedupTest `json:"tests"`
-	SecondsPlain float64     `json:"seconds_plain"`
-	SecondsDedup float64     `json:"seconds_dedup"`
-	// DedupStates is the dedup sweep's dedup_states telemetry total:
-	// distinct canonical fingerprints entered into the visited sets.
-	DedupStates int64 `json:"dedup_states"`
-	// DedupHits is the dedup sweep's dedup_hits total: arrivals at an
-	// already-claimed fingerprint, each cutting one run short.
-	DedupHits int64 `json:"dedup_hits"`
-}
-
-// DedupTest is one test's execution counts in one POR mode, dedup
-// off/on.
-type DedupTest struct {
-	Name       string `json:"name"`
-	Mode       string `json:"mode"`
-	ExecsPlain int    `json:"execs_plain"`
-	ExecsDedup int    `json:"execs_dedup"`
-}
-
-// measureDedup runs the exhaustive litmus suite in each POR mode twice —
-// dedup off, then dedup on with a fresh unbounded visited set per test —
-// re-checking outcome-set equality per test and mode. Any test failure
-// or divergence aborts: a BENCH file must never record reduction numbers
-// from an unsound sweep.
-func measureDedup(maxRuns int) (*DedupReport, error) {
-	rep := &DedupReport{}
-	stats := compass.NewTelemetry()
-	tests := append(compass.LitmusSuite(), compass.LitmusFootprintSuite()...)
-	modes := []struct {
-		name string
-		mode compass.PORMode
-	}{{"off", compass.POROff}, {"sleep", compass.PORSleep}, {"source", compass.PORSource}}
-	for _, m := range modes {
-		for _, t := range tests {
-			start := time.Now()
-			plain := compass.RunLitmus(t, maxRuns, compass.WithWorkers(1), compass.WithPORMode(m.mode))
-			rep.SecondsPlain += time.Since(start).Seconds()
-			if !plain.OK() {
-				return nil, fmt.Errorf("%s: exploration failed (por=%s, dedup=off):\n%s", t.Name, m.name, plain)
-			}
-			start = time.Now()
-			ded := compass.RunLitmus(t, maxRuns, compass.WithWorkers(1), compass.WithPORMode(m.mode),
-				compass.WithDedup(compass.NewDedup(0)), compass.WithStats(stats))
-			rep.SecondsDedup += time.Since(start).Seconds()
-			if !ded.OK() {
-				return nil, fmt.Errorf("%s: exploration failed (por=%s, dedup=on):\n%s", t.Name, m.name, ded)
-			}
-			if !outcomeSetsEqual(plain.Outcomes, ded.Outcomes) {
-				return nil, fmt.Errorf("%s: outcome sets diverged under dedup (por=%s):\nplain: %v\ndedup: %v",
-					t.Name, m.name, plain.Outcomes, ded.Outcomes)
-			}
-			rep.Tests = append(rep.Tests, DedupTest{
-				Name: t.Name, Mode: m.name, ExecsPlain: plain.Runs, ExecsDedup: ded.Runs,
-			})
-		}
-	}
-	snap := stats.Snapshot()
-	rep.DedupStates = snap.Explore.DedupStates
-	rep.DedupHits = snap.Explore.DedupHits
-	return rep, nil
-}
-
 func main() {
 	bench := flag.String("bench", tierOneBenchmarks, "benchmark name regex passed to -bench")
 	benchtime := flag.String("benchtime", "", "passed to -benchtime (e.g. 100x, 0.5s); empty = go default")
 	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
 	pruning := flag.Bool("pruning", true, "measure footprint-pruning effectiveness over the litmus suite")
 	pruneRuns := flag.Int("prune-max-runs", 400000, "exploration bound per litmus test for the pruning measurement")
-	por := flag.Bool("por", true, "measure partial-order reduction effectiveness (off vs sleep vs source) over the litmus suite")
+	por := flag.Bool("por", true, "measure partial-order reduction effectiveness (off vs source) over the litmus suite")
 	planOn := flag.Bool("plan", true, "measure static access-plan effectiveness (plan off vs on at -por=source) over the litmus and library suites")
-	dedup := flag.Bool("dedup", true, "measure state-space dedup effectiveness (dedup off vs on in every POR mode) over the litmus suite")
 	flag.Parse()
 
 	rep := &Report{
@@ -478,8 +379,8 @@ func main() {
 		}
 		rep.POR = pr
 		for _, t := range pr.Tests {
-			fmt.Fprintf(os.Stderr, "benchreport: por: %-16s off %6d | sleep %6d | source %6d executions\n",
-				t.Name, t.ExecsOff, t.ExecsSleep, t.ExecsSource)
+			fmt.Fprintf(os.Stderr, "benchreport: por: %-16s off %6d | source %6d executions\n",
+				t.Name, t.ExecsOff, t.ExecsSource)
 		}
 	}
 
@@ -494,20 +395,6 @@ func main() {
 		for _, t := range pr.Tests {
 			fmt.Fprintf(os.Stderr, "benchreport: plan: %-16s bare %6d | planned %6d executions\n",
 				t.Name, t.ExecsBare, t.ExecsPlanned)
-		}
-	}
-
-	if *dedup {
-		fmt.Fprintln(os.Stderr, "benchreport: measuring state-space dedup in every POR mode over the litmus suite")
-		dr, err := measureDedup(*pruneRuns)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: dedup: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Dedup = dr
-		for _, t := range dr.Tests {
-			fmt.Fprintf(os.Stderr, "benchreport: dedup: %-16s por=%-6s plain %6d | dedup %6d executions\n",
-				t.Name, t.Mode, t.ExecsPlain, t.ExecsDedup)
 		}
 	}
 

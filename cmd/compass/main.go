@@ -77,7 +77,7 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	explain := flag.Int64("explain", -1, "replay this seed with a per-step trace instead of running the harness")
 	exhaustive := flag.Bool("exhaustive", false, "explore all executions (small workloads only)")
-	por := flag.String("por", "off", "with -exhaustive: partial-order reduction — off, sleep (static sleep sets), or source (source-DPOR: dynamic race reversal plus wakeup read floors); outcome sets are identical in every mode, far fewer executions")
+	por := flag.String("por", "off", "with -exhaustive: partial-order reduction — off|source (source-DPOR: sleep sets, dynamic race reversal and wakeup read floors); outcome sets are identical in both modes, far fewer executions under source")
 	prune := flag.Bool("prune", false, "extract a footprint certificate from one recording execution and prune race instrumentation and read windows (outcomes are identical)")
 	planOn := flag.Bool("plan", false, "consult the committed static access plan for the workload: gate the footprint certificate against it and, with -exhaustive -por=source, sharpen conflict detection (outcomes are identical)")
 	statsOut := flag.String("stats", "", "write a telemetry JSON snapshot of the run to this file")

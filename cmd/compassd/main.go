@@ -63,7 +63,7 @@ func main() {
 
 		server  = flag.String("server", "http://localhost:8723", "client mode: server base URL")
 		filter  = flag.String("filter", "", "client mode: only workloads containing this substring")
-		por     = flag.String("por", "source", "client mode: POR mode for exhaustive jobs (off|sleep|source)")
+		por     = flag.String("por", "source", "client mode: POR mode for exhaustive jobs (off|source)")
 		libMode = flag.String("lib-mode", serve.ModeRandom, "client mode: mode for library workloads (exhaustive|random)")
 		execs   = flag.Int("n", 0, "client mode: executions per random library job (0 = default)")
 		maxRuns = flag.Int("max-runs", 0, "client mode: run cap per exhaustive job (0 = default)")

@@ -24,7 +24,7 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS)")
 	prune := flag.Bool("prune", false, "extract a footprint certificate per test and prune race instrumentation and read windows (outcomes are identical)")
 	plan := flag.Bool("plan", false, "consult the committed static access plan per test: gate footprint certificates against it and sharpen source-DPOR conflict detection (outcomes are identical)")
-	por := flag.String("por", "off", "partial-order reduction: off, sleep (static sleep sets), or source (source-DPOR: dynamic race reversal plus wakeup read floors); outcome sets are identical in every mode, far fewer executions")
+	por := flag.String("por", "off", "partial-order reduction: off|source (source-DPOR: sleep sets, dynamic race reversal and wakeup read floors); outcome sets are identical in both modes, far fewer executions under source")
 	refine := flag.Bool("refine", false, "also run the library refinement corpus: each library workload is explored exhaustively with the refinement/simulation oracle judging every execution against the abstract transition system")
 	statsOut := flag.String("stats", "", "write a telemetry JSON snapshot of the exploration to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of the first test's default schedule to this file")

@@ -326,31 +326,10 @@ const (
 // CheckOptions.Mode: ModeRandom (the default) samples seeded executions,
 // fanning across CheckOptions.Workers workers (default GOMAXPROCS) with a
 // report that is bit-identical to a sequential run; ModeExhaustive
-// explores every execution up to MaxRuns, optionally with sleep-set
+// explores every execution up to MaxRuns, optionally with source-DPOR
 // partial-order reduction (CheckOptions.POR).
 func RunChecked(name string, build func() Checked, opt CheckOptions) *Report {
 	return check.Run(name, build, opt)
-}
-
-// RunExhaustive explores every execution of the workload (all schedules
-// and read choices, up to maxRuns with the given per-execution step
-// budget) and checks each one; a complete pass is a proof for the bounded
-// instance.
-//
-// Deprecated: use RunChecked with CheckOptions{Mode: ModeExhaustive,
-// MaxRuns: maxRuns, Budget: budget}.
-func RunExhaustive(name string, build func() Checked, maxRuns, budget int) *Report {
-	return RunChecked(name, build, CheckOptions{Mode: ModeExhaustive, MaxRuns: maxRuns, Budget: budget})
-}
-
-// RunExhaustiveOpts is RunExhaustive driven by CheckOptions: MaxRuns and
-// Budget bound the exploration, MaxFailures/KeepGoing control the early
-// stop, and Workers parallelizes the decision-tree search.
-//
-// Deprecated: set CheckOptions.Mode to ModeExhaustive and use RunChecked.
-func RunExhaustiveOpts(name string, build func() Checked, opt CheckOptions) *Report {
-	opt.Mode = ModeExhaustive
-	return RunChecked(name, build, opt)
 }
 
 // ExplainCheckedOpts replays one seed of a workload with per-step
@@ -361,15 +340,6 @@ func RunExhaustiveOpts(name string, build func() Checked, opt CheckOptions) *Rep
 // refine-attributed failure replays as a spurious pass without it).
 func ExplainCheckedOpts(build func() Checked, seed int64, opt CheckOptions) (Status, []string, []Violation) {
 	return check.ExplainOpt(build, seed, opt)
-}
-
-// ExplainChecked is ExplainCheckedOpts with only the bias and budget
-// threaded.
-//
-// Deprecated: use ExplainCheckedOpts with the original run's CheckOptions
-// so replay applies the same oracles (Refine) and telemetry sink.
-func ExplainChecked(build func() Checked, seed int64, staleBias float64, budget int) (Status, []string, []Violation) {
-	return check.ExplainOpt(build, seed, check.Options{StaleBias: staleBias, Budget: budget})
 }
 
 // DequeFactory builds a work-stealing deque in a program's setup.
@@ -481,15 +451,6 @@ func TraceCheckedExecutionOpts(build func() Checked, seed int64, opt CheckOption
 	return check.TraceCheckedOpt(build, seed, opt)
 }
 
-// TraceCheckedExecution is TraceCheckedExecutionOpts with only the bias
-// and budget threaded.
-//
-// Deprecated: use TraceCheckedExecutionOpts with the original run's
-// CheckOptions so replay applies the same oracles (Refine).
-func TraceCheckedExecution(build func() Checked, seed int64, staleBias float64, budget int) (*ExecResult, []Violation) {
-	return check.TraceCheckedOpt(build, seed, check.Options{StaleBias: staleBias, Budget: budget})
-}
-
 // ValidateTelemetryJSON checks that data is a well-formed telemetry
 // snapshot as written by Telemetry.WriteJSON.
 func ValidateTelemetryJSON(data []byte) error { return telemetry.ValidateSnapshotJSON(data) }
@@ -522,47 +483,25 @@ func WithStats(stats *Telemetry) LitmusOption { return litmus.WithStats(stats) }
 // the outcome histogram is identical with or without a valid certificate.
 func WithFootprint(fp *Footprint) LitmusOption { return litmus.WithFootprint(fp) }
 
-// WithPOR toggles sleep-set partial-order reduction: the outcome set and
-// verdict are identical, the number of explored executions shrinks.
-// WithPOR(true) means sleep sets; use WithPORMode for source-DPOR.
-func WithPOR(on bool) LitmusOption { return litmus.WithPOR(on) }
-
-// WithPORMode selects the partial-order reduction mode explicitly:
-// POROff, PORSleep, or PORSource. Source-DPOR reverses only dynamically
-// observed races and prunes stale read-value branches through wakeup
-// read floors; outcome sets stay identical across all modes.
+// WithPORMode selects the partial-order reduction mode: POROff (the
+// default) or PORSource. Source-DPOR reverses only dynamically observed
+// races and prunes stale read-value branches through wakeup read floors;
+// outcome sets stay identical in both modes, and the number of explored
+// executions shrinks.
 func WithPORMode(m PORMode) LitmusOption { return litmus.WithPORMode(m) }
-
-// Dedup is a bounded visited set of canonical state fingerprints shared
-// by the runs of one exhaustive exploration (see NewDedup).
-type Dedup = machine.Dedup
-
-// NewDedup returns an empty visited set holding at most cap canonical
-// state fingerprints (a default near one million if cap <= 0).
-func NewDedup(cap int) *Dedup { return machine.NewDedup(cap) }
-
-// WithDedup installs a state-space dedup visited set: runs reaching a
-// canonical state an earlier run already claimed are cut short. The
-// outcome set and verdict are identical with and without dedup in every
-// POR mode; the number of explored executions shrinks. Reuse one Dedup
-// only across the segments of one logical exploration.
-func WithDedup(d *Dedup) LitmusOption { return litmus.WithDedup(d) }
 
 // PORMode selects the partial-order reduction applied by the exhaustive
 // explorers (see the machine package's PORMode).
 type PORMode = machine.PORMode
 
-// POR modes: off, sleep sets (static oracle), source-DPOR (dynamic race
-// reversal with wakeup read floors).
+// POR modes: off (the reference oracle) and source-DPOR (sleep sets,
+// dynamic race reversal and wakeup read floors).
 const (
 	POROff    = machine.POROff
-	PORSleep  = machine.PORSleep
 	PORSource = machine.PORSource
 )
 
-// ParsePORMode parses a -por flag value: "off", "sleep", or "source"
-// ("on" is accepted as an alias for "sleep", the PR 5 boolean flag's
-// meaning).
+// ParsePORMode parses a -por flag value: "off" (or empty) or "source".
 func ParsePORMode(s string) (PORMode, error) { return machine.ParsePORMode(s) }
 
 // OnPORFallback installs a hook invoked at most once per process when an
@@ -583,9 +522,9 @@ func LitmusSuite() []LitmusTest { return litmus.Suite() }
 func LitmusFootprintSuite() []LitmusTest { return litmus.FootprintSuite() }
 
 // RunLitmus explores a litmus test exhaustively; options (WithWorkers,
-// WithStats, WithFootprint, WithPOR) modify the exploration. With no
-// options it keeps its historical meaning: all GOMAXPROCS workers,
-// nothing else.
+// WithStats, WithFootprint, WithPORMode, WithPlan) modify the
+// exploration. With no options it keeps its historical meaning: all
+// GOMAXPROCS workers, nothing else.
 func RunLitmus(t LitmusTest, maxRuns int, opts ...LitmusOption) *LitmusResult {
 	return litmus.Run(t, maxRuns, opts...)
 }
@@ -614,23 +553,6 @@ func RunLibRefinement(t LibTest, maxRuns int, opts ...LitmusOption) *LibResult {
 // ExtractLibFootprint derives a footprint certificate from one recording
 // execution of a library workload's program.
 func ExtractLibFootprint(t LibTest) (*Footprint, error) { return litmus.LibFootprint(t) }
-
-// RunLitmusWorkers is RunLitmus with an explicit worker count
-// (0 = GOMAXPROCS, 1 = sequential).
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers)).
-func RunLitmusWorkers(t LitmusTest, maxRuns, workers int) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers))
-}
-
-// RunLitmusStats is RunLitmusWorkers with a telemetry sink shared across
-// calls (nil disables recording).
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers),
-// WithStats(stats)).
-func RunLitmusStats(t LitmusTest, maxRuns, workers int, stats *Telemetry) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers), litmus.WithStats(stats))
-}
 
 // TraceLitmus replays a litmus test's default schedule with step-event
 // recording, for Chrome trace export.
@@ -662,16 +584,6 @@ const (
 // execution of the program (see internal/analysis/footprint).
 func ExtractFootprint(build func() Program) (*Footprint, error) {
 	return footprint.Extract(build)
-}
-
-// RunLitmusFootprint is RunLitmusStats with a footprint certificate
-// installed (nil disables pruning). The outcome histogram is identical
-// with or without a valid certificate.
-//
-// Deprecated: use RunLitmus(t, maxRuns, WithWorkers(workers),
-// WithStats(stats), WithFootprint(fp)).
-func RunLitmusFootprint(t LitmusTest, maxRuns, workers int, stats *Telemetry, fp *Footprint) *LitmusResult {
-	return litmus.Run(t, maxRuns, litmus.WithWorkers(workers), litmus.WithStats(stats), litmus.WithFootprint(fp))
 }
 
 // --- Static access plans (source-level may-analysis). ---

@@ -25,32 +25,11 @@ constructor, check.Options.Runner); a machine.ExploreOpts literal must
 likewise be inside a function marked //compass:explore-ctor
 (check.Options.ExploreOpts). Everything else should build its runner or
 exploration options from an Options value so Budget/Trace/Stats/POR
-plumbing cannot be forgotten site by site.
-
-The pass also flags calls to the deprecated run-API shims left behind by
-the consolidation (check.Exhaustive/ExhaustiveOpt/Explain/TraceChecked,
-litmus.RunWorkers*) from outside their defining packages, so new code
-reaches the consolidated entry points directly.`,
+plumbing cannot be forgotten site by site.`,
 	Run: run,
 }
 
 const machinePath = "compass/internal/machine"
-
-// deprecatedRunners maps the run-API entry points retired by the
-// consolidation (Deprecated in their doc comments, kept only as thin
-// delegating shims) to the replacement a caller should use. A call from
-// any package other than the defining one is flagged: the shims exist
-// for source compatibility until their removal milestone, not for new
-// call sites. Test files are skipped like the rest of this pass.
-var deprecatedRunners = map[string]string{
-	"compass/internal/check.Exhaustive":           "check.Run with Options{Mode: ModeExhaustive}",
-	"compass/internal/check.ExhaustiveOpt":        "check.Run with Options{Mode: ModeExhaustive}",
-	"compass/internal/check.Explain":              "check.ExplainOpt",
-	"compass/internal/check.TraceChecked":         "check.TraceCheckedOpt",
-	"compass/internal/litmus.RunWorkers":          "litmus.Run with WithWorkers",
-	"compass/internal/litmus.RunWorkersStats":     "litmus.Run with WithWorkers and WithStats",
-	"compass/internal/litmus.RunWorkersFootprint": "litmus.Run with WithWorkers, WithStats, and WithFootprint",
-}
 
 // policed maps the funneled machine types to their sanctioning directive
 // and diagnostic.
@@ -75,10 +54,6 @@ func run(pass *lint.Pass) error {
 		}
 		file := file
 		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkDeprecated(pass, call)
-				return true
-			}
 			cl, ok := n.(*ast.CompositeLit)
 			if !ok {
 				return true
@@ -103,23 +78,4 @@ func run(pass *lint.Pass) error {
 		})
 	}
 	return nil
-}
-
-// checkDeprecated flags calls to run-API shims retired by the
-// consolidation, from any package but the defining one.
-func checkDeprecated(pass *lint.Pass, call *ast.CallExpr) {
-	obj := lint.PkgFunc(pass.TypesInfo, call.Fun)
-	if obj == nil {
-		return
-	}
-	pkgPath := lint.ObjPkgPath(obj)
-	if pkgPath == "" || pkgPath == pass.Pkg.Path() {
-		return
-	}
-	repl, ok := deprecatedRunners[pkgPath+"."+obj.Name()]
-	if !ok {
-		return
-	}
-	pass.Reportf(call.Pos(), "call to deprecated %s.%s: use %s (run-API consolidation; see the README deprecation table for the removal milestone)",
-		obj.Pkg().Name(), obj.Name(), repl)
 }

@@ -27,7 +27,7 @@ func directOpts(maxRuns int) machine.ExploreOpts {
 }
 
 func directOptsPOR() machine.ExploreOpts {
-	return machine.ExploreOpts{POR: machine.PORSleep} // want `machine.ExploreOpts constructed directly`
+	return machine.ExploreOpts{POR: machine.PORSource} // want `machine.ExploreOpts constructed directly`
 }
 
 // buildOpts is a sanctioned constructor in the style of
@@ -39,7 +39,7 @@ func buildOpts(maxRuns int, por machine.PORMode) machine.ExploreOpts {
 }
 
 func viaOptsConstructor(maxRuns int) machine.ExploreOpts {
-	return buildOpts(maxRuns, machine.PORSleep) // ok: goes through the constructor
+	return buildOpts(maxRuns, machine.PORSource) // ok: goes through the constructor
 }
 
 // runnerCtorDoesNotSanctionOpts mixes the two: a runner-ctor directive

@@ -18,7 +18,7 @@ func literals() []check.Options {
 		{Executions: 100, StaleBias: check.BiasZero}, // ok: sentinel
 		{Executions: 100, Seed: 7, StaleBias: 0.5},   // ok: nonzero literals
 		{Executions: 100},                            // ok: field omitted on purpose
-		{Mode: check.ModeExhaustive, POR: check.PORSleep}, // ok: Mode/POR zero values are honest (ModeRandom, reduction off), no sentinel needed
+		{Mode: check.ModeExhaustive, POR: check.PORSource}, // ok: Mode/POR zero values are honest (ModeRandom, reduction off), no sentinel needed
 	}
 }
 

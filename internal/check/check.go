@@ -63,19 +63,30 @@ func (c *Checked) Evaluate() ([]spec.Violation, int) {
 	return viols, unknown
 }
 
+// verdict is evaluate's judgement of one OK execution.
+type verdict struct {
+	violations []spec.Violation
+	unknown    int
+	// refined is set when the refinement oracle judged the execution, and
+	// disagree when its verdict differed from the predicates'.
+	refined, disagree bool
+}
+
 // evaluate judges one OK execution under the options: the spec check and
 // oracle always run; when opt.Refine is set and the instance carries a
 // refinement checker, the refinement oracle joins, its verdict is merged,
 // and an agree/disagree sample is recorded into the refine telemetry.
-func (o Options) evaluate(c *Checked, r *machine.Result) ([]spec.Violation, int) {
-	viols, unknown := c.Evaluate()
+func (o Options) evaluate(c *Checked, r *machine.Result) verdict {
+	var v verdict
+	v.violations, v.unknown = c.Evaluate()
 	if o.Refine && c.Refine != nil {
 		rv, ru := c.Refine(r, o.Stats)
-		o.Stats.RefineTrace((len(rv) > 0) != (len(viols) > 0))
-		viols = append(viols, rv...)
-		unknown += ru
+		v.refined, v.disagree = true, (len(rv) > 0) != (len(v.violations) > 0)
+		o.Stats.RefineTrace(v.disagree)
+		v.violations = append(v.violations, rv...)
+		v.unknown += ru
 	}
-	return viols, unknown
+	return v
 }
 
 // Sentinels for option values whose natural encoding collides with the
@@ -158,8 +169,8 @@ type Options struct {
 	// refine_traces_checked / refine_disagreements telemetry.
 	Refine bool
 	// POR selects the partial-order reduction mode in ModeExhaustive:
-	// PORSleep prunes with static sleep sets, PORSource with source-DPOR
-	// (dynamic race reversal plus wakeup read floors). Either way
+	// POROff explores the full tree, PORSource prunes it with source-DPOR
+	// (sleep sets, dynamic race reversal and wakeup read floors), so
 	// scheduling branches that can only replay an explored equivalence
 	// class are skipped, shrinking the number of executions needed for a
 	// Complete verdict without changing the set of reachable outcomes
@@ -170,16 +181,8 @@ type Options struct {
 	// internal/analysis/staticplan) consulted by source-DPOR to skip
 	// scheduling branches no statically-possible access can distinguish.
 	// Plans are may-over-approximations, so outcome sets are identical
-	// with or without one; modes other than PORSource ignore it.
+	// with or without one; POROff ignores it.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints consulted by ModeExhaustive: runs reaching an
-	// already-claimed state are cut without changing the set of reachable
-	// outcomes (see machine.ExploreOpts.Dedup). The caller owns the
-	// handle so it can persist across the segments of a paused/resumed
-	// job — reuse one Dedup only within one logical exploration.
-	// ModeRandom ignores it.
-	Dedup *machine.Dedup
 }
 
 // PORMode is re-exported from machine so harness callers configure the
@@ -189,12 +192,10 @@ type PORMode = machine.PORMode
 // POR modes, re-exported from machine.
 const (
 	POROff    = machine.POROff
-	PORSleep  = machine.PORSleep
 	PORSource = machine.PORSource
 )
 
-// ParsePORMode parses a -por flag value ("off", "sleep", "source"; "on"
-// is an alias for "sleep").
+// ParsePORMode parses a -por flag value: "off" (or empty) or "source".
 func ParsePORMode(s string) (PORMode, error) { return machine.ParsePORMode(s) }
 
 // Default option values, shared with the other harness front ends so a
@@ -289,7 +290,6 @@ func (o Options) ExploreOpts() machine.ExploreOpts {
 		Footprint: o.Footprint,
 		POR:       o.POR,
 		Plan:      o.Plan,
-		Dedup:     o.Dedup,
 	}
 }
 
@@ -322,11 +322,18 @@ type Report struct {
 	Failures   []Failure
 	Unknown    int // checks that could not be decided
 	Steps      int // total machine steps across executions
-	// Exhaustive and Complete are set by Exhaustive: when Complete is
+	// Exhaustive and Complete are set in ModeExhaustive: when Complete is
 	// true, every execution of the bounded program was explored, so a pass
 	// is a proof for the instance rather than statistical evidence.
 	Exhaustive bool
 	Complete   bool
+	// RefineTraces counts the executions the refinement oracle judged
+	// (Options.Refine), and RefineDisagreements those where its verdict
+	// differed from the consistency predicates'. Both cover exactly the
+	// report's Executions, which a telemetry sink shared with parallel
+	// workers running past an early stop need not.
+	RefineTraces        int64
+	RefineDisagreements int64
 	// Stats is a telemetry snapshot taken when the run finished; nil
 	// unless Options.Stats was set. Its exec counters equal this report's
 	// totals when the Stats was fresh for this run (a shared Stats
@@ -366,12 +373,21 @@ func (r *Report) String() string {
 // execOutcome is the fully evaluated result of one seeded execution,
 // buffered by the parallel harness for the in-order merge.
 type execOutcome struct {
-	status     machine.Status
-	err        error
-	steps      int
-	violations []spec.Violation
-	unknown    int
-	done       bool
+	status machine.Status
+	err    error
+	steps  int
+	verdict
+	done bool
+}
+
+// countRefine accounts the refinement oracle's judgement of one execution.
+func (r *Report) countRefine(v verdict) {
+	if v.refined {
+		r.RefineTraces++
+		if v.disagree {
+			r.RefineDisagreements++
+		}
+	}
 }
 
 // Run executes build()'s programs Executions times under seeded random
@@ -415,12 +431,13 @@ func runSequential(name string, build func() Checked, opt Options) *Report {
 		case machine.Racy, machine.Failed:
 			rep.Failures = append(rep.Failures, Failure{Seed: seed, Status: res.Status, Err: res.Err})
 		case machine.OK:
-			viols, unknown := opt.evaluate(&c, res)
-			rep.Unknown += unknown
-			if len(viols) == 0 {
+			v := opt.evaluate(&c, res)
+			rep.Unknown += v.unknown
+			rep.countRefine(v)
+			if len(v.violations) == 0 {
 				rep.OK++
 			} else {
-				rep.Failures = append(rep.Failures, Failure{Seed: seed, Status: res.Status, Violations: viols})
+				rep.Failures = append(rep.Failures, Failure{Seed: seed, Status: res.Status, Violations: v.violations})
 			}
 		}
 		if !opt.KeepGoing && len(rep.Failures) >= opt.MaxFailures {
@@ -452,17 +469,29 @@ func (r *Report) attachStats(opt Options) *Report {
 // discarding whatever overshoot the workers produced past it.
 //
 // Each worker runs its executions on its own kept machine under its own
-// reseeded strategy, as runSequential does.
+// reseeded strategy, as runSequential does. A panic in a worker (in a
+// thread body or the strategy) stops the others, and Run raises the
+// first one again in its caller once they have all returned, as a
+// one-worker Run would.
 //
 //compass:accounting
 func runParallel(name string, build func() Checked, opt Options) *Report {
 	outcomes := make([]execOutcome, opt.Executions)
 	var next, failures, stop int64
 	var wg sync.WaitGroup
+	var firstPanic sync.Once
+	var panicVal any
 	for w := 0; w < opt.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Deferred before the machine's Close, so it runs after it.
+			defer func() {
+				if p := recover(); p != nil {
+					firstPanic.Do(func() { panicVal = p })
+					atomic.StoreInt64(&stop, 1)
+				}
+			}()
 			m := opt.Runner(false).Keep()
 			defer m.Close()
 			strat := machine.NewRandomBiased(opt.Seed, opt.StaleBias)
@@ -480,7 +509,7 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 				res := m.Run(c.Prog, strat)
 				out := execOutcome{status: res.Status, err: res.Err, steps: res.Steps, done: true}
 				if res.Status == machine.OK {
-					out.violations, out.unknown = opt.evaluate(&c, res)
+					out.verdict = opt.evaluate(&c, res)
 				}
 				outcomes[i] = out
 				failed := res.Status == machine.Racy || res.Status == machine.Failed ||
@@ -493,6 +522,9 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 		}()
 	}
 	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
 
 	rep := &Report{Name: name}
 	for i := 0; i < opt.Executions; i++ {
@@ -517,6 +549,7 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 			rep.Failures = append(rep.Failures, Failure{Seed: seed, Status: out.status, Err: out.err})
 		case machine.OK:
 			rep.Unknown += out.unknown
+			rep.countRefine(out.verdict)
 			if len(out.violations) == 0 {
 				rep.OK++
 			} else {
@@ -528,25 +561,6 @@ func runParallel(name string, build func() Checked, opt Options) *Report {
 		}
 	}
 	return rep.attachStats(opt)
-}
-
-// Exhaustive explores every execution of the workload up to maxRuns.
-//
-// Deprecated: use Run with Options{Mode: ModeExhaustive, MaxRuns: maxRuns,
-// Budget: budget}. Kept as a thin delegating wrapper for source
-// compatibility with the positional API.
-func Exhaustive(name string, build func() Checked, maxRuns, budget int) *Report {
-	return Run(name, build, Options{Mode: ModeExhaustive, MaxRuns: maxRuns, Budget: budget})
-}
-
-// ExhaustiveOpt explores every execution of the workload driven by
-// Options.
-//
-// Deprecated: use Run with Options{Mode: ModeExhaustive, ...}; this
-// wrapper only forces the mode and delegates.
-func ExhaustiveOpt(name string, build func() Checked, opt Options) *Report {
-	opt.Mode = ModeExhaustive
-	return Run(name, build, opt)
 }
 
 // runExhaustive explores every execution of the workload (all
@@ -640,19 +654,18 @@ func (j *ExhaustJob) RunSegment(build func() Checked, opt Options, pauseRuns int
 			}
 			visit := func(r *machine.Result) bool {
 				var f *Failure
-				var viols []spec.Violation
-				unknown := 0
+				var v verdict
 				if r.Status == machine.OK {
 					// Run the spec checkers outside the merge lock; they
 					// only touch this worker's recorders.
-					viols, unknown = opt.evaluate(&cur, r)
+					v = opt.evaluate(&cur, r)
 				}
 				switch r.Status {
 				case machine.Racy, machine.Failed:
 					f = &Failure{Seed: -1, Status: r.Status, Err: r.Err}
 				case machine.OK:
-					if len(viols) > 0 {
-						f = &Failure{Seed: -1, Status: r.Status, Violations: viols}
+					if len(v.violations) > 0 {
+						f = &Failure{Seed: -1, Status: r.Status, Violations: v.violations}
 					}
 				}
 				mu.Lock()
@@ -662,7 +675,8 @@ func (j *ExhaustJob) RunSegment(build func() Checked, opt Options, pauseRuns int
 				case machine.Budget:
 					rep.Discarded++
 				case machine.OK:
-					rep.Unknown += unknown
+					rep.Unknown += v.unknown
+					rep.countRefine(v)
 					if f == nil {
 						rep.OK++
 					}
@@ -698,18 +712,9 @@ func ExplainOpt(build func() Checked, seed int64, opt Options) (machine.Status, 
 	res := opt.Runner(true).Run(c.Prog, machine.NewRandomBiased(seed, opt.StaleBias))
 	var viols []spec.Violation
 	if res.Status == machine.OK {
-		viols, _ = opt.evaluate(&c, res)
+		viols = opt.evaluate(&c, res).violations
 	}
 	return res.Status, res.Trace(), viols
-}
-
-// Explain is ExplainOpt with only the bias and budget options threaded.
-//
-// Deprecated: Explain judges the replay without the refinement oracle, so
-// a refine-attributed failure replays as a spurious pass. Use ExplainOpt
-// with the Options the original Run used.
-func Explain(build func() Checked, seed int64, staleBias float64, budget int) (machine.Status, []string, []spec.Violation) {
-	return ExplainOpt(build, seed, Options{StaleBias: staleBias, Budget: budget})
 }
 
 // TraceCheckedOpt is the structured sibling of ExplainOpt: it replays the
@@ -723,18 +728,9 @@ func TraceCheckedOpt(build func() Checked, seed int64, opt Options) (*machine.Re
 	res := opt.Runner(true).Run(c.Prog, machine.NewRandomBiased(seed, opt.StaleBias))
 	var viols []spec.Violation
 	if res.Status == machine.OK {
-		viols, _ = opt.evaluate(&c, res)
+		viols = opt.evaluate(&c, res).violations
 	}
 	return res, viols
-}
-
-// TraceChecked is TraceCheckedOpt with only the bias and budget options
-// threaded.
-//
-// Deprecated: TraceChecked judges the replay without the refinement
-// oracle. Use TraceCheckedOpt with the Options the original Run used.
-func TraceChecked(build func() Checked, seed int64, staleBias float64, budget int) (*machine.Result, []spec.Violation) {
-	return TraceCheckedOpt(build, seed, Options{StaleBias: staleBias, Budget: budget})
 }
 
 // Collect merges several spec results into the (violations, unknown) pair

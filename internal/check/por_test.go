@@ -61,13 +61,12 @@ func porWorkloads() []struct {
 }
 
 // TestPORWorkloadEquivalence runs every library workload exhaustively
-// with POR off, with sleep sets, and with source-DPOR: the verdict
-// (including the expected HW @ abs violation), completeness, and
-// pass/fail must agree in all three modes, and neither reduction may
-// explore more executions than the full tree. Spec checking sees only
-// OK executions, so both reductions — which preserve the set of
-// reachable outcomes and final states — cannot change what the checker
-// observes.
+// with POR off and with source-DPOR: the verdict (including the
+// expected HW @ abs violation), completeness, and pass/fail must agree
+// in both modes, and the reduction may not explore more executions than
+// the full tree. Spec checking sees only OK executions, so the
+// reduction — which preserves the set of reachable outcomes and final
+// states — cannot change what the checker observes.
 func TestPORWorkloadEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive workload sweep")
@@ -81,40 +80,29 @@ func TestPORWorkloadEquivalence(t *testing.T) {
 			if plain.Passed() != w.expectPass {
 				t.Fatalf("baseline verdict: passed=%v, want %v:\n%s", plain.Passed(), w.expectPass, plain)
 			}
-			execs := map[check.PORMode]int{}
-			for _, mode := range []check.PORMode{check.PORSleep, check.PORSource} {
-				por := base
-				por.POR = mode
-				por.Stats = telemetry.New()
-				reduced := check.Run(w.name, w.build, por)
-				if reduced.Passed() != plain.Passed() {
-					t.Errorf("verdict diverged under %v: plain passed=%v, por passed=%v\npor report:\n%s",
-						mode, plain.Passed(), reduced.Passed(), reduced)
-				}
-				if !w.expectPass {
-					// The violation stops all explorations early at
-					// MaxFailures, so completeness and execution counts are
-					// not comparable — finding the bug in every mode is the
-					// whole contract.
-					continue
-				}
-				if !plain.Complete || !reduced.Complete {
-					t.Fatalf("incomplete exploration under %v: plain=%v por=%v", mode, plain.Complete, reduced.Complete)
-				}
-				if reduced.Executions > plain.Executions {
-					t.Errorf("%v explored more executions (%d) than full exploration (%d)",
-						mode, reduced.Executions, plain.Executions)
-				}
-				execs[mode] = reduced.Executions
+			por := base
+			por.POR = check.PORSource
+			por.Stats = telemetry.New()
+			reduced := check.Run(w.name, w.build, por)
+			if reduced.Passed() != plain.Passed() {
+				t.Errorf("verdict diverged under source: plain passed=%v, por passed=%v\npor report:\n%s",
+					plain.Passed(), reduced.Passed(), reduced)
 			}
-			if w.expectPass {
-				if execs[check.PORSource] > execs[check.PORSleep] {
-					t.Errorf("source-DPOR explored more executions (%d) than sleep sets (%d)",
-						execs[check.PORSource], execs[check.PORSleep])
-				}
-				t.Logf("executions: full=%d sleep=%d source=%d",
-					plain.Executions, execs[check.PORSleep], execs[check.PORSource])
+			if !w.expectPass {
+				// The violation stops both explorations early at
+				// MaxFailures, so completeness and execution counts are
+				// not comparable — finding the bug in both modes is the
+				// whole contract.
+				return
 			}
+			if !plain.Complete || !reduced.Complete {
+				t.Fatalf("incomplete exploration: plain=%v por=%v", plain.Complete, reduced.Complete)
+			}
+			if reduced.Executions > plain.Executions {
+				t.Errorf("source-DPOR explored more executions (%d) than full exploration (%d)",
+					reduced.Executions, plain.Executions)
+			}
+			t.Logf("executions: full=%d source=%d", plain.Executions, reduced.Executions)
 		})
 	}
 }

@@ -148,7 +148,7 @@ func TestRefineRandomPathJudgesTraces(t *testing.T) {
 func TestRefineVerdictPORInvariant(t *testing.T) {
 	// The refinement verdict and disagreement count must not depend on
 	// the POR mode: reduction prunes equivalent interleavings only.
-	for _, por := range []check.PORMode{check.POROff, check.PORSleep, check.PORSource} {
+	for _, por := range []check.PORMode{check.POROff, check.PORSource} {
 		stats := telemetry.New()
 		rep := check.Run("refine-por", check.LockContention(2, 1), check.Options{
 			Mode:    check.ModeExhaustive,

@@ -80,3 +80,49 @@ func TestRandomRunLeavesNoGoroutines(t *testing.T) {
 	}
 	settled(t, base, "random run that panicked")
 }
+
+// TestWorkerPanicsSurface: a panic in a thread body on a worker
+// goroutine reaches the caller at Workers: 2 as it does at one worker —
+// through check.Run in random mode (its own worker pool) and in
+// exhaustive mode, and through machine.ExploreParallel directly — after
+// every worker has stopped and closed its kept machine, so no goroutine
+// outlives the call.
+func TestWorkerPanicsSurface(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := runtime.NumGoroutine()
+	prog := func() machine.Program {
+		return machine.Program{Workers: []func(*machine.Thread){
+			func(th *machine.Thread) {
+				th.Yield()
+				panic("worker boom")
+			},
+		}}
+	}
+	build := func() check.Checked { return check.Checked{Prog: prog()} }
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"random", func() {
+			check.Run("panic/random", build, check.Options{Executions: 20, Workers: 2})
+		}},
+		{"exhaustive", func() {
+			check.Run("panic/exhaustive", build, check.Options{Mode: check.ModeExhaustive, Workers: 2})
+		}},
+		{"ExploreParallel", func() {
+			machine.ExploreParallel(machine.ExploreOpts{Workers: 2}, func() (func() machine.Program, func(*machine.Result) bool) {
+				return prog, func(*machine.Result) bool { return true }
+			})
+		}},
+	} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			tc.run()
+			return nil
+		}()
+		if got != "worker boom" {
+			t.Errorf("%s: recovered %v, want the body's panic", tc.name, got)
+		}
+		settled(t, base, tc.name+" run that panicked")
+	}
+}

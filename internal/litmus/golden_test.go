@@ -50,15 +50,12 @@ func TestGoldenLitmusCorpus(t *testing.T) {
 			t.Errorf("%s: exploration did not complete within bounds (%d runs); golden outcome sets must be proofs", tc.Name, res.Runs)
 		}
 		lines = append(lines, goldenLine(res))
-		// The corpus must be invariant under partial-order reduction, in
-		// both modes: POR prunes executions, never reachable outcomes, so
-		// the golden line — set plus completeness verdict — is
-		// byte-identical.
-		for _, mode := range []check.PORMode{check.PORSleep, check.PORSource} {
-			if por := goldenLine(Run(tc, 400000, WithPORMode(mode))); por != lines[len(lines)-1] {
-				t.Errorf("%s: POR mode %v changed the golden outcome set:\n  off: %s\n  por: %s",
-					tc.Name, mode, lines[len(lines)-1], por)
-			}
+		// The corpus must be invariant under partial-order reduction: POR
+		// prunes executions, never reachable outcomes, so the golden line
+		// — set plus completeness verdict — is byte-identical.
+		if por := goldenLine(Run(tc, 400000, WithPORMode(check.PORSource))); por != lines[len(lines)-1] {
+			t.Errorf("%s: source-DPOR changed the golden outcome set:\n  off: %s\n  por: %s",
+				tc.Name, lines[len(lines)-1], por)
 		}
 	}
 	// Library refinement corpus: each workload's canonical verdict is the

@@ -21,7 +21,6 @@ import (
 	"compass/internal/queue"
 	"compass/internal/spec"
 	"compass/internal/stack"
-	"compass/internal/telemetry"
 )
 
 // LibTest is one library workload of the refinement corpus.
@@ -34,8 +33,8 @@ type LibTest struct {
 	Note string
 	// SkipPOROff marks instances whose unreduced decision tree is too
 	// large to enumerate (the Chase-Lev deque's CAS-retry interleavings):
-	// the golden corpus sweeps them under sleep sets and source-DPOR
-	// only, the same precedent as the STAR5 litmus test.
+	// the golden corpus sweeps them under source-DPOR only, the same
+	// precedent as the STAR5 litmus test.
 	SkipPOROff bool
 	// SkipPrune marks instances whose sharing is schedule-dependent: a
 	// footprint certificate extracted from one recording execution can
@@ -49,9 +48,9 @@ type LibTest struct {
 // Modes returns the POR modes the golden corpus sweeps for this test.
 func (t LibTest) Modes() []check.PORMode {
 	if t.SkipPOROff {
-		return []check.PORMode{check.PORSleep, check.PORSource}
+		return []check.PORMode{check.PORSource}
 	}
-	return []check.PORMode{check.POROff, check.PORSleep, check.PORSource}
+	return []check.PORMode{check.POROff, check.PORSource}
 }
 
 // LibResult summarizes one exhaustive refinement-judged exploration.
@@ -127,28 +126,19 @@ func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	// The refinement counters decide the verdict, so a sink is required
-	// even when the caller attached none; with a caller sink the counters
-	// land there and are read back from the same snapshot.
-	stats := cfg.stats
-	if stats == nil {
-		stats = telemetry.New()
-	}
-	before := stats.Snapshot().Refine
 	rep := check.Run(t.Name, t.Build, check.Options{
 		Mode: check.ModeExhaustive, MaxRuns: maxRuns, Budget: 4000,
-		KeepGoing: true, Refine: true, Workers: cfg.workers, Stats: stats,
-		Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan, Dedup: cfg.dedup,
+		KeepGoing: true, Refine: true, Workers: cfg.workers, Stats: cfg.stats,
+		Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan,
 	})
-	after := stats.Snapshot().Refine
 	res := &LibResult{
 		Test:          t,
 		Runs:          rep.Executions,
 		Complete:      rep.Complete,
 		Passed:        rep.Passed(),
 		Discarded:     rep.Discarded,
-		TracesChecked: after.TracesChecked - before.TracesChecked,
-		Disagreements: after.Disagreements - before.Disagreements,
+		TracesChecked: rep.RefineTraces,
+		Disagreements: rep.RefineDisagreements,
 	}
 	rules := map[string]bool{}
 	for _, f := range rep.Failures {

@@ -110,7 +110,6 @@ type config struct {
 	fp      *memory.Footprint
 	por     check.PORMode
 	plan    *memory.Plan
-	dedup   *machine.Dedup
 }
 
 // WithWorkers sets the parallel exploration worker count (0 = GOMAXPROCS,
@@ -134,24 +133,6 @@ func WithStats(stats *telemetry.Stats) Option { return func(c *config) { c.stats
 // test in this package asserts bit-for-bit over the whole suite.
 func WithFootprint(fp *memory.Footprint) Option { return func(c *config) { c.fp = fp } }
 
-// WithPOR toggles sleep-set partial-order reduction (see
-// machine.ExploreOpts.POR): scheduling branches that can only replay an
-// explored equivalence class are skipped. The outcome *set* — which
-// distinct outcomes appear, and therefore the verdict — is identical with
-// POR on and off; the histogram counts and Runs shrink, which is the
-// point. The equivalence test in this package asserts set-identity over
-// the whole suite. WithPOR(true) selects sleep sets (the PR 5 boolean's
-// meaning); use WithPORMode for source-DPOR.
-func WithPOR(on bool) Option {
-	return func(c *config) {
-		if on {
-			c.por = check.PORSleep
-		} else {
-			c.por = check.POROff
-		}
-	}
-}
-
 // WithPlan installs a static access plan (see
 // internal/analysis/staticplan) consulted by source-DPOR: provably
 // conflict-free pending accesses are forced as singleton persistent sets
@@ -163,24 +144,15 @@ func WithPOR(on bool) Option {
 // check.PORSource ignore the plan.
 func WithPlan(p *memory.Plan) Option { return func(c *config) { c.plan = p } }
 
-// WithDedup installs a state-space dedup visited set (see machine.Dedup):
-// runs reaching a canonical state an earlier run already claimed are cut
-// short. The outcome *set* — which distinct outcomes appear, and
-// therefore the verdict — is identical with and without dedup in every
-// POR mode (asserted over the whole suite by the dedup-equivalence test
-// in this package); the histogram counts and Runs shrink. Reuse one
-// Dedup only across the segments of one logical exploration: the handle
-// is retained in the JobState so paused/resumed jobs keep their claimed
-// states (and serialize them with the frontier).
-func WithDedup(d *machine.Dedup) Option { return func(c *config) { c.dedup = d } }
-
-// WithPORMode selects the partial-order reduction mode explicitly:
-// check.POROff, check.PORSleep, or check.PORSource. Source-DPOR reverses
-// only dynamically observed races and prunes stale read-value branches
-// through wakeup read floors, reducing IRIW-class tests by a further
-// ~5x over sleep sets at provably identical outcome sets (the three-way
-// equivalence test in this package asserts set-identity across all
-// modes, over the whole suite).
+// WithPORMode selects the partial-order reduction mode: check.POROff (the
+// default, the full tree) or check.PORSource. Source-DPOR skips
+// scheduling branches that can only replay an explored equivalence
+// class, reversing only dynamically observed races and pruning stale
+// read-value branches through wakeup read floors. The outcome *set* —
+// which distinct outcomes appear, and therefore the verdict — is
+// identical in both modes; the histogram counts and Runs shrink, which
+// is the point. The equivalence test in this package asserts
+// set-identity over the whole suite.
 func WithPORMode(m check.PORMode) Option { return func(c *config) { c.por = m } }
 
 // Run explores the test exhaustively (bounded by maxRuns; 0 means the
@@ -206,12 +178,6 @@ type JobState struct {
 	Discarded int               `json:"discarded"`
 	Outcomes  map[string]int    `json:"outcomes"`
 	Frontier  *machine.Frontier `json:"frontier,omitempty"`
-	// Dedup is the visited set of canonical state fingerprints, retained
-	// (and serialized) across segments so a resumed job never re-claims —
-	// and re-explores — states a pre-pause segment already covered. Nil
-	// means dedup is off. Installed by WithDedup on the first segment or
-	// set directly before it.
-	Dedup *machine.Dedup `json:"dedup,omitempty"`
 	// Complete is set when the whole tree was explored; Done when no
 	// further segment will make progress (complete, maxRuns exhausted, or
 	// an early stop).
@@ -242,10 +208,7 @@ func (s *JobState) RunSegment(t Test, maxRuns, pauseRuns int, opts ...Option) bo
 	if maxRuns <= 0 {
 		maxRuns = check.DefaultMaxRuns
 	}
-	if s.Dedup == nil {
-		s.Dedup = cfg.dedup
-	}
-	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan, Dedup: s.Dedup}.ExploreOpts()
+	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan}.ExploreOpts()
 	eo.Resume = s.Frontier
 	eo.PauseRuns = pauseRuns
 	// The explorer bounds one call; the job bound spans segments.
@@ -306,29 +269,6 @@ func (s *JobState) Finish(t Test) *Result {
 		}
 	}
 	return res
-}
-
-// RunWorkers is Run with an explicit worker count.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers)).
-func RunWorkers(t Test, maxRuns, workers int) *Result {
-	return Run(t, maxRuns, WithWorkers(workers))
-}
-
-// RunWorkersStats is RunWorkers with a telemetry sink.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers), WithStats(stats)).
-func RunWorkersStats(t Test, maxRuns, workers int, stats *telemetry.Stats) *Result {
-	return Run(t, maxRuns, WithWorkers(workers), WithStats(stats))
-}
-
-// RunWorkersFootprint is RunWorkersStats with an optional footprint
-// certificate.
-//
-// Deprecated: use Run(t, maxRuns, WithWorkers(workers), WithStats(stats),
-// WithFootprint(fp)).
-func RunWorkersFootprint(t Test, maxRuns, workers int, stats *telemetry.Stats, fp *memory.Footprint) *Result {
-	return Run(t, maxRuns, WithWorkers(workers), WithStats(stats), WithFootprint(fp))
 }
 
 // TraceTest replays the test's default schedule (every decision takes

@@ -27,7 +27,7 @@ func TestPlanEquivalence(t *testing.T) {
 			if plan == nil {
 				t.Fatalf("fixture has no plan for %s", tc.Name)
 			}
-			for _, mode := range []check.PORMode{check.POROff, check.PORSleep, check.PORSource} {
+			for _, mode := range []check.PORMode{check.POROff, check.PORSource} {
 				bare := Run(tc, 0, WithWorkers(1), WithPORMode(mode))
 				planned := Run(tc, 0, WithWorkers(1), WithPORMode(mode), WithPlan(plan))
 				if !bare.Complete || !planned.Complete {

@@ -1,13 +1,24 @@
 package litmus
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 
 	"compass/internal/analysis/footprint"
 	"compass/internal/check"
+	"compass/internal/telemetry"
 )
+
+// sleepCounters renders the sleep-set share of an exploration's
+// telemetry: the sibling branches its sleep sets skipped, the read
+// branches its wakeups pruned, and the sleep-set sizes it observed.
+func sleepCounters(s *telemetry.Stats) string {
+	e := s.Snapshot().Explore
+	return fmt.Sprintf("skipped=%d stale-reads=%d sleep-set-size=%+v",
+		e.PORBranchesSkipped, e.PORStaleReadsSkipped, e.SleepSetSize)
+}
 
 // outcomeKeySet returns the sorted set of distinct outcome keys observed
 // by a result — the invariant POR preserves. (The histogram counts are
@@ -25,11 +36,9 @@ func outcomeKeySet(r *Result) []string {
 // TestPOREquivalence is the soundness gate for partial-order reduction,
 // modeled on TestFootprintEquivalence but asserting the weaker (and
 // correct) invariant: for every litmus test in the suite plus the
-// footprint-rich workloads, exhaustive exploration under sleep sets and
-// under source-DPOR must each produce the identical outcome *set* — and
-// therefore the identical verdict — as exploration without reduction,
-// with no more runs; and source-DPOR must explore no more runs than
-// sleep sets.
+// footprint-rich workloads, exhaustive exploration under source-DPOR
+// must produce the identical outcome *set* — and therefore the identical
+// verdict — as exploration without reduction, with no more runs.
 func TestPOREquivalence(t *testing.T) {
 	tests := append(Suite(), FootprintSuite()...)
 	for _, tc := range tests {
@@ -37,26 +46,18 @@ func TestPOREquivalence(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			plain := Run(tc, 0, WithWorkers(1))
-			runs := map[check.PORMode]int{}
-			for _, mode := range []check.PORMode{check.PORSleep, check.PORSource} {
-				reduced := Run(tc, 0, WithWorkers(1), WithPORMode(mode))
-				if !plain.Complete || !reduced.Complete {
-					t.Fatalf("completeness diverged or lost under %v: plain=%v por=%v", mode, plain.Complete, reduced.Complete)
-				}
-				if got, want := outcomeKeySet(reduced), outcomeKeySet(plain); !reflect.DeepEqual(got, want) {
-					t.Errorf("outcome sets diverged under %v:\nwithout POR: %v\nwith POR:    %v", mode, want, got)
-				}
-				if plain.OK() != reduced.OK() {
-					t.Errorf("verdict diverged under %v: plain=%v por=%v", mode, plain.OK(), reduced.OK())
-				}
-				if reduced.Runs > plain.Runs {
-					t.Errorf("%v explored more runs (%d) than full exploration (%d)", mode, reduced.Runs, plain.Runs)
-				}
-				runs[mode] = reduced.Runs
+			reduced := Run(tc, 0, WithWorkers(1), WithPORMode(check.PORSource))
+			if !plain.Complete || !reduced.Complete {
+				t.Fatalf("completeness diverged or lost: plain=%v por=%v", plain.Complete, reduced.Complete)
 			}
-			if runs[check.PORSource] > runs[check.PORSleep] {
-				t.Errorf("source-DPOR explored more runs (%d) than sleep sets (%d)",
-					runs[check.PORSource], runs[check.PORSleep])
+			if got, want := outcomeKeySet(reduced), outcomeKeySet(plain); !reflect.DeepEqual(got, want) {
+				t.Errorf("outcome sets diverged:\nwithout POR: %v\nwith POR:    %v", want, got)
+			}
+			if plain.OK() != reduced.OK() {
+				t.Errorf("verdict diverged: plain=%v por=%v", plain.OK(), reduced.OK())
+			}
+			if reduced.Runs > plain.Runs {
+				t.Errorf("source-DPOR explored more runs (%d) than full exploration (%d)", reduced.Runs, plain.Runs)
 			}
 		})
 	}
@@ -70,7 +71,7 @@ func TestPORReductionBites(t *testing.T) {
 	hits := 0
 	for _, tc := range Suite() {
 		plain := Run(tc, 0, WithWorkers(1))
-		reduced := Run(tc, 0, WithWorkers(1), WithPOR(true))
+		reduced := Run(tc, 0, WithWorkers(1), WithPORMode(check.PORSource))
 		if !reflect.DeepEqual(outcomeKeySet(plain), outcomeKeySet(reduced)) {
 			t.Fatalf("%s: outcome sets diverged", tc.Name)
 		}
@@ -85,10 +86,13 @@ func TestPORReductionBites(t *testing.T) {
 	}
 }
 
-// TestSourceDPORBitesOnIRIW pins this PR's acceptance bar: on IRIW —
-// four threads, two locations, where sleep sets leave the read-choice
-// blowup untouched — source-DPOR's read floors must cut executions to
-// at most a fifth of the sleep-set count, at the identical outcome set.
+// TestSourceDPORBitesOnIRIW pins source-DPOR's bar on IRIW — four
+// threads, two locations, where plain sleep sets leave the read-choice
+// blowup untouched: its read floors must cut the unreduced tree's
+// executions at least 440-fold, at the identical outcome set. At the
+// unreduced 25,300 runs that admits at most 57 source runs, the bar this
+// test held when it compared source with the former sleep-set mode (a
+// fifth of its 288).
 func TestSourceDPORBitesOnIRIW(t *testing.T) {
 	var iriw Test
 	for _, tc := range Suite() {
@@ -100,19 +104,19 @@ func TestSourceDPORBitesOnIRIW(t *testing.T) {
 	if iriw.Name == "" {
 		t.Fatal("IRIW not in suite")
 	}
-	sleep := Run(iriw, 0, WithWorkers(1), WithPORMode(check.PORSleep))
+	off := Run(iriw, 0, WithWorkers(1))
 	source := Run(iriw, 0, WithWorkers(1), WithPORMode(check.PORSource))
-	if !sleep.Complete || !source.Complete {
-		t.Fatalf("incomplete: sleep=%v source=%v", sleep.Complete, source.Complete)
+	if !off.Complete || !source.Complete {
+		t.Fatalf("incomplete: off=%v source=%v", off.Complete, source.Complete)
 	}
-	if !reflect.DeepEqual(outcomeKeySet(sleep), outcomeKeySet(source)) {
-		t.Fatalf("outcome sets diverged:\nsleep:  %v\nsource: %v", outcomeKeySet(sleep), outcomeKeySet(source))
+	if !reflect.DeepEqual(outcomeKeySet(off), outcomeKeySet(source)) {
+		t.Fatalf("outcome sets diverged:\noff:    %v\nsource: %v", outcomeKeySet(off), outcomeKeySet(source))
 	}
-	if source.Runs*5 > sleep.Runs {
-		t.Fatalf("source-DPOR on IRIW: %d runs, want <= 1/5 of sleep's %d", source.Runs, sleep.Runs)
+	if source.Runs*440 > off.Runs {
+		t.Fatalf("source-DPOR on IRIW: %d runs, want <= 1/440 of the unreduced %d", source.Runs, off.Runs)
 	}
-	t.Logf("IRIW: sleep=%d source=%d (%.1fx)", sleep.Runs, source.Runs,
-		float64(sleep.Runs)/float64(source.Runs))
+	t.Logf("IRIW: off=%d source=%d (%.1fx)", off.Runs, source.Runs,
+		float64(off.Runs)/float64(source.Runs))
 }
 
 // TestSTAR5ExhaustiveUnderSource pins that the five-thread STAR5 test —
@@ -148,36 +152,53 @@ func TestSTAR5ExhaustiveUnderSource(t *testing.T) {
 }
 
 // TestPORComposesWithFootprintAndWorkers exercises the full stack at
-// once, in both reduction modes: POR plus a footprint certificate plus
-// parallel subtree exploration must visit exactly the runs the serial
-// POR exploration does and observe the same outcome set. For source-DPOR
-// this doubles as the purity gate — wakes and read floors must be a
-// function of the decision prefix alone, or the pinned-prefix parallel
-// explorer would produce a different tree.
+// once: source-DPOR plus a footprint certificate plus parallel subtree
+// exploration must visit exactly the runs the serial POR exploration
+// does and observe the same outcome set (the source subtests), and its
+// sleep sets must skip exactly the branches, and reach exactly the
+// sizes, they do serially (the sleep subtests). This doubles as the
+// purity gate — wakes and read floors must be a function of the decision
+// prefix alone, or the pinned-prefix parallel explorer would produce a
+// different tree.
 func TestPORComposesWithFootprintAndWorkers(t *testing.T) {
 	tests := append(Suite(), FootprintSuite()...)
 	for _, tc := range tests {
-		for _, mode := range []check.PORMode{check.PORSleep, check.PORSource} {
-			tc, mode := tc, mode
-			t.Run(tc.Name+"/"+mode.String(), func(t *testing.T) {
-				t.Parallel()
-				fp, err := footprint.Extract(tc.Build)
-				if err != nil {
-					t.Fatalf("extracting footprint: %v", err)
-				}
-				serial := Run(tc, 0, WithWorkers(1), WithPORMode(mode))
-				stacked := Run(tc, 0, WithWorkers(4), WithPORMode(mode), WithFootprint(fp))
-				if stacked.Runs != serial.Runs {
-					t.Errorf("runs diverged: serial POR %d, POR+footprint+workers %d", serial.Runs, stacked.Runs)
-				}
-				if !reflect.DeepEqual(outcomeKeySet(serial), outcomeKeySet(stacked)) {
-					t.Errorf("outcome sets diverged:\nserial:  %v\nstacked: %v",
-						outcomeKeySet(serial), outcomeKeySet(stacked))
-				}
-				if serial.OK() != stacked.OK() {
-					t.Errorf("verdict diverged: serial=%v stacked=%v", serial.OK(), stacked.OK())
-				}
-			})
+		tc := tc
+		// stack runs tc serially and stacked, recording into the given
+		// sinks (nil disables).
+		stack := func(t *testing.T, serialStats, stackedStats *telemetry.Stats) (serial, stacked *Result) {
+			fp, err := footprint.Extract(tc.Build)
+			if err != nil {
+				t.Fatalf("extracting footprint: %v", err)
+			}
+			serial = Run(tc, 0, WithWorkers(1), WithPORMode(check.PORSource), WithStats(serialStats))
+			stacked = Run(tc, 0, WithWorkers(4), WithPORMode(check.PORSource), WithFootprint(fp), WithStats(stackedStats))
+			return serial, stacked
 		}
+		t.Run(tc.Name+"/sleep", func(t *testing.T) {
+			t.Parallel()
+			serial, stacked := telemetry.New(), telemetry.New()
+			stack(t, serial, stacked)
+			if got, want := sleepCounters(stacked), sleepCounters(serial); got != want {
+				t.Errorf("sleep-set counters diverged:\nserial:  %s\nstacked: %s", want, got)
+			}
+			if serial.Snapshot().Explore.SleepSetSize.Count == 0 {
+				t.Errorf("no sleep set observed: %s", sleepCounters(serial))
+			}
+		})
+		t.Run(tc.Name+"/source", func(t *testing.T) {
+			t.Parallel()
+			serial, stacked := stack(t, nil, nil)
+			if stacked.Runs != serial.Runs {
+				t.Errorf("runs diverged: serial POR %d, POR+footprint+workers %d", serial.Runs, stacked.Runs)
+			}
+			if !reflect.DeepEqual(outcomeKeySet(serial), outcomeKeySet(stacked)) {
+				t.Errorf("outcome sets diverged:\nserial:  %v\nstacked: %v",
+					outcomeKeySet(serial), outcomeKeySet(stacked))
+			}
+			if serial.OK() != stacked.OK() {
+				t.Errorf("verdict diverged: serial=%v stacked=%v", serial.OK(), stacked.OK())
+			}
+		})
 	}
 }

@@ -4,20 +4,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"compass/internal/telemetry"
 )
 
 // outcomeHistogram explores sbProgram (por_test.go) with the given
 // options — resuming across segments when pauseRuns > 0, round-tripping
 // the frontier through JSON between segments to model a checkpoint file —
-// and returns the outcome histogram plus the total run count. Only call
-// with workers == 1: the visit callback writes an unsynchronized map.
-func outcomeHistogram(t *testing.T, workers, pauseRuns int, por PORMode) (map[string]int, int) {
+// and returns the outcome histogram plus the total run count. Every
+// segment records into stats (nil disables). Only call with
+// workers == 1: the visit callback writes an unsynchronized map.
+func outcomeHistogram(t *testing.T, workers, pauseRuns int, por PORMode, stats *telemetry.Stats) (map[string]int, int) {
 	t.Helper()
 	outcomes := map[string]int{}
 	var frontier *Frontier
 	runs, segments := 0, 0
 	for {
-		opts := ExploreOpts{Workers: workers, PauseRuns: pauseRuns, POR: por, Resume: frontier}
+		opts := ExploreOpts{Workers: workers, PauseRuns: pauseRuns, POR: por, Resume: frontier, Stats: stats}
 		res := ExploreParallel(opts, func() (func() Program, func(*Result) bool) {
 			return sbProgram, func(r *Result) bool {
 				if r.Status == OK {
@@ -58,12 +61,14 @@ func outcomeHistogram(t *testing.T, workers, pauseRuns int, por PORMode) (map[st
 // level: an exploration paused every few runs and resumed from a
 // JSON-round-tripped frontier visits exactly the executions of an
 // uninterrupted run — same run count, same outcome histogram — in every
-// POR mode.
+// POR mode. The sleep subtest checks that source-DPOR's sleep sets cross
+// the pauses intact: the resumed segments together skip the branches,
+// and observe the sleep-set sizes, of the uninterrupted run.
 func TestPauseResumeIdentical(t *testing.T) {
-	for _, por := range []PORMode{POROff, PORSleep, PORSource} {
+	for _, por := range []PORMode{POROff, PORSource} {
 		t.Run(por.String(), func(t *testing.T) {
-			want, wantRuns := outcomeHistogram(t, 1, 0, por)
-			got, gotRuns := outcomeHistogram(t, 1, 3, por)
+			want, wantRuns := outcomeHistogram(t, 1, 0, por, nil)
+			got, gotRuns := outcomeHistogram(t, 1, 3, por, nil)
 			if gotRuns != wantRuns {
 				t.Fatalf("resumed run count %d != uninterrupted %d", gotRuns, wantRuns)
 			}
@@ -72,6 +77,18 @@ func TestPauseResumeIdentical(t *testing.T) {
 			}
 		})
 	}
+	t.Run("sleep", func(t *testing.T) {
+		whole, resumed := telemetry.New(), telemetry.New()
+		outcomeHistogram(t, 1, 0, PORSource, whole)
+		outcomeHistogram(t, 1, 3, PORSource, resumed)
+		want, got := sleepCounters(whole), sleepCounters(resumed)
+		if got != want {
+			t.Fatalf("sleep-set counters differ:\nuninterrupted %s\nresumed       %s", want, got)
+		}
+		if whole.Explore.PORBranchesSkipped.Load() == 0 {
+			t.Fatalf("sleep sets skipped no branch on SB: %s", want)
+		}
+	})
 }
 
 // TestPauseResumeAcrossWorkerCounts re-shards a paused exploration onto a
@@ -79,7 +96,7 @@ func TestPauseResumeIdentical(t *testing.T) {
 // uninterrupted run (the outcome set identity is covered at the litmus
 // level where merges are synchronized).
 func TestPauseResumeAcrossWorkerCounts(t *testing.T) {
-	_, wantRuns := outcomeHistogram(t, 1, 0, POROff)
+	_, wantRuns := outcomeHistogram(t, 1, 0, POROff, nil)
 	var frontier *Frontier
 	runs := 0
 	workers := []int{1, 4, 2, 3}

@@ -10,6 +10,34 @@ import (
 	"compass/internal/view"
 )
 
+// buildMP is a message-passing shape with more interleavings than SB:
+// two writers into disjoint locations plus a reader, so many
+// interleavings reach identical states. Its name is the one it had when
+// the state-space dedup tests used it, which the subtests built from it
+// keep.
+func buildMP() Program {
+	var x, y, f view.Loc
+	return Program{
+		Name: "MPDedup",
+		Setup: func(t *Thread) {
+			x = t.Alloc("x", 0)
+			y = t.Alloc("y", 0)
+			f = t.Alloc("f", 0)
+		},
+		Workers: []func(*Thread){
+			func(t *Thread) { t.Write(x, 1, memory.Rlx); t.Write(f, 1, memory.Rel) },
+			func(t *Thread) { t.Write(y, 1, memory.Rlx) },
+			func(t *Thread) {
+				if t.Read(f, memory.Acq) == 1 {
+					t.Report("r", t.Read(x, memory.Rlx))
+				} else {
+					t.Report("r", -1)
+				}
+			},
+		},
+	}
+}
+
 // TestTracedExploreAllocatesOneLogPerRun: every SB run takes the same
 // number of steps, so once the first run has sized the step-event log,
 // tracing costs each later run exactly one array — its own log —

@@ -55,12 +55,6 @@ const (
 	// sibling subtrees, which is what keeps exhaustive outcome sets
 	// identical with POR on and off.
 	Pruned
-	// Deduped: the run reached a state whose canonical fingerprint was
-	// already in the exhaustive explorer's visited set (only under
-	// Runner.Dedup). Like Pruned, neither a pass nor a violation: the
-	// first run to claim the fingerprint explores every continuation, so
-	// this run's continuations are all observed elsewhere.
-	Deduped
 )
 
 func (s Status) String() string {
@@ -75,8 +69,6 @@ func (s Status) String() string {
 		return "failed"
 	case Pruned:
 		return "pruned"
-	case Deduped:
-		return "deduped"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
@@ -226,10 +218,6 @@ func (t *Thread) memStep() *memory.Memory {
 func (t *Thread) Alloc(name string, init int64) view.Loc {
 	t.step(memory.Access{Kind: memory.AccAlloc})
 	l := t.memStep().Alloc(t.tv, name, init)
-	if t.mc.opHist != nil {
-		t.mc.locCanon = append(t.mc.locCanon, t.mc.mem.CanonLocID(l))
-		t.mc.foldOp(t.id, opAlloc, t.mc.locCanon[l], uint64(init))
-	}
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepAlloc, Loc: l, LocName: name, Val: init})
 	}
@@ -246,7 +234,6 @@ func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
 		}
 		panic(accessAbort(err))
 	}
-	t.mc.foldOp(t.id, opRead, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Val: v})
 	}
@@ -295,7 +282,6 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 		}
 		panic(accessAbort(err))
 	}
-	t.mc.foldOp(t.id, opWrite, t.mc.canonLoc(l), uint64(mode), uint64(v))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Val: v})
 	}
@@ -308,7 +294,6 @@ func (t *Thread) Free(l view.Loc) {
 	if err := t.memStep().Free(t.tv, l); err != nil {
 		panic(accessAbort(err))
 	}
-	t.mc.foldOp(t.id, opFree, t.mc.canonLoc(l))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFree, Loc: l, LocName: t.mc.mem.Name(l)})
 	}
@@ -318,7 +303,6 @@ func (t *Thread) Free(l view.Loc) {
 func (t *Thread) Fence(acquire, release bool) {
 	t.step(memory.Access{Kind: memory.AccFence})
 	t.memStep().Fence(t.tv, acquire, release)
-	t.mc.foldOp(t.id, opFence, b2u(acquire), b2u(release))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFence, Acquire: acquire, Release: release})
 	}
@@ -329,7 +313,6 @@ func (t *Thread) Fence(acquire, release bool) {
 func (t *Thread) FenceSC() {
 	t.step(memory.Access{Kind: memory.AccFence})
 	t.memStep().FenceSC(t.tv)
-	t.mc.foldOp(t.id, opFenceSC)
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFenceSC})
 	}
@@ -340,7 +323,6 @@ func (t *Thread) FenceSC() {
 func (t *Thread) CAS(l view.Loc, expected, newv int64, readMode, writeMode memory.Mode) (int64, bool) {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, ok := t.updateChecked(l, func(o int64) (int64, bool) { return newv, o == expected }, readMode, writeMode)
-	t.mc.foldOp(t.id, opCAS, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(expected), uint64(newv), uint64(old), b2u(ok))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepCAS, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Arg: expected, Val: newv, Old: old, OK: ok})
@@ -352,7 +334,6 @@ func (t *Thread) CAS(l view.Loc, expected, newv int64, readMode, writeMode memor
 func (t *Thread) FetchAdd(l view.Loc, d int64, readMode, writeMode memory.Mode) int64 {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, _ := t.updateChecked(l, func(o int64) (int64, bool) { return o + d, true }, readMode, writeMode)
-	t.mc.foldOp(t.id, opFAA, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(d), uint64(old))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFAA, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Val: d, Old: old})
@@ -365,7 +346,6 @@ func (t *Thread) FetchAdd(l view.Loc, d int64, readMode, writeMode memory.Mode) 
 func (t *Thread) Exchange(l view.Loc, v int64, readMode, writeMode memory.Mode) int64 {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, _ := t.updateChecked(l, func(int64) (int64, bool) { return v, true }, readMode, writeMode)
-	t.mc.foldOp(t.id, opXchg, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(v), uint64(old))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepXchg, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Val: v, Old: old})
@@ -377,7 +357,6 @@ func (t *Thread) Exchange(l view.Loc, v int64, readMode, writeMode memory.Mode) 
 func (t *Thread) Update(l view.Loc, f memory.UpdateFunc, readMode, writeMode memory.Mode) (int64, bool) {
 	t.step(memory.Access{Kind: memory.AccRMW, Loc: l})
 	old, wrote := t.updateChecked(l, f, readMode, writeMode)
-	t.mc.foldOp(t.id, opUpdate, t.mc.canonLoc(l), uint64(readMode), uint64(writeMode), uint64(old), b2u(wrote))
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepUpdate, Loc: l, LocName: t.mc.mem.Name(l),
 			RMode: readMode, WMode: writeMode, Old: old, OK: wrote})
@@ -406,10 +385,6 @@ func (t *Thread) updateChecked(l view.Loc, f memory.UpdateFunc, readMode, writeM
 // yield so other threads can make progress under any strategy.
 func (t *Thread) Yield() {
 	t.step(memory.Access{Kind: memory.AccNone})
-	// Folded into the op history even though memory is untouched: a yield
-	// advances the thread's program position, and dedup soundness rests on
-	// the op history pinning that position.
-	t.mc.foldOp(t.id, opYield)
 }
 
 // Report records a named outcome value for this execution (e.g. the value
@@ -417,7 +392,6 @@ func (t *Thread) Yield() {
 func (t *Thread) Report(name string, v int64) {
 	t.step(memory.Access{Kind: memory.AccReport, Name: name})
 	t.mc.outcome[name] = v
-	t.mc.foldOp(t.id, opReport, strHash(name), uint64(v))
 }
 
 // Failf aborts the execution, marking it Failed. Used by programs to
@@ -429,8 +403,7 @@ func (t *Thread) Failf(format string, args ...interface{}) {
 // Mem exposes the underlying memory (read-only use: histories, names).
 func (t *Thread) Mem() *memory.Memory { return t.mc.mem }
 
-// lifecycle is a thread's state at a scheduling decision. The byte values
-// are part of the dedup fingerprint.
+// lifecycle is a thread's state at a scheduling decision.
 type lifecycle uint8
 
 const (
@@ -476,37 +449,22 @@ type controller struct {
 	// sleep is a bitmask of parked threads whose pending operation commutes
 	// with every operation executed since they were last a scheduling
 	// candidate, so granting them now would only replay an interleaving
-	// that an explored sibling branch covers. Under PORSleep sleepers wake
-	// on the static memory.Independent oracle; under PORSource they wake
-	// only on dynamic conflicts (sourceWake), possibly carrying a read
-	// floor in floors[tid] that restricts their next read to the messages
-	// appended since they slept. All of it evolves as a deterministic
-	// function of the decision sequence, which is what lets the
-	// prefix-replay explorers reproduce it branch for branch.
+	// that an explored sibling branch covers. Sleepers wake only on
+	// dynamic conflicts (sourceWake), possibly carrying a read floor in
+	// floors[tid] that restricts their next read to the messages appended
+	// since they slept. All of it evolves as a deterministic function of
+	// the decision sequence, which is what lets the prefix-replay
+	// explorers reproduce it branch for branch.
 	por      PORMode
 	pending  []memory.Access
 	sleep    uint64
 	awake    []int // scratch for porCandidates, reused across grants
 	floors   []view.Time
 	doneMask uint64 // finished threads (valid while por != POROff, so <= 64 threads)
-	wakes    int    // source-mode wake events this run (wakeup-tree size)
-	// plan is the static access-plan oracle (only under PORSource with a
-	// matching Runner.Plan); nil means no static knowledge.
+	wakes    int    // wake events this run (wakeup-tree size)
+	// plan is the static access-plan oracle (only with a matching
+	// Runner.Plan); nil means no static knowledge.
 	plan *memory.PlanOracle
-	// State-space dedup (only when Runner.Dedup is set and the strategy
-	// replays a prefix — see freeDecider). opHist[tid] is the rolling
-	// 2-lane hash of every operation thread tid has completed, with its
-	// observed results; together with the canonical memory + view
-	// encoding it pins the thread's local continuation (thread bodies are
-	// deterministic functions of their observation sequence). locCanon
-	// maps raw locations to their stable canonical IDs (see
-	// memory.CanonLocID), assigned at Alloc. canonBuf is the reused
-	// encoding scratch.
-	dedup    *Dedup
-	free     freeDecider // the strategy, when dedup is armed
-	opHist   [][2]uint64
-	locCanon []uint64
-	canonBuf []byte
 }
 
 // porCandidates filters the runnable threads down to those not asleep and
@@ -539,7 +497,7 @@ func (c *controller) porCandidates(runnable []int) []int {
 // explorers' in-order sibling enumeration) as sibling branches of this
 // very decision, so within this branch their next step goes to sleep;
 // then the granted thread's operation wakes every sleeper whose pending
-// operation does not commute with it. Sleep-set theory (Godefroid)
+// operation conflicts with it (sourceWake). Sleep-set theory (Godefroid)
 // guarantees the pruned tree still reaches every reachable state of the
 // full tree, hence every terminal outcome; only the number of
 // interleavings shrinks.
@@ -551,13 +509,8 @@ func (c *controller) porCommit(cand []int, idx int) {
 	if c.sleep != 0 {
 		op := c.pending[pick]
 		for u := range c.pending {
-			if c.sleep&(1<<uint(u)) == 0 {
-				continue
-			}
-			if c.por == PORSource {
+			if c.sleep&(1<<uint(u)) != 0 {
 				c.sourceWake(u, op)
-			} else if !memory.Independent(c.pending[u], op) {
-				c.sleep &^= 1 << uint(u)
 			}
 		}
 	}
@@ -620,21 +573,20 @@ type Runner struct {
 	// access pattern the certificate does not cover aborts the execution
 	// as Failed. Pruning never changes outcomes — see memory/footprint.go.
 	Footprint *memory.Footprint
-	// POR selects the partial-order reduction mode. PORSleep excludes
-	// from scheduling any thread whose pending operation commutes with
-	// everything executed since it was last a candidate (see
-	// memory.Independent); PORSource additionally wakes sleepers only on
-	// dynamically observed conflicts and prunes stale read-value branches
-	// via wakeup read floors (see PORMode). Either way the set of
-	// reachable outcomes is unchanged; the number of executions needed to
-	// cover it shrinks, and under the exhaustive explorers Complete still
-	// means every outcome of the bounded program was observed. Programs
-	// with more than 63 workers fall back to full exploration (the sleep
-	// set is a 64-bit mask); the fallback bumps the por_disabled_threads
-	// counter and fires the SetPORFallbackWarn hook.
+	// POR selects the partial-order reduction mode. PORSource excludes
+	// from scheduling any thread whose pending operation conflicts with
+	// nothing executed since it was last a candidate (see
+	// memory.Conflicting) and prunes stale read-value branches via wakeup
+	// read floors (see PORMode). The set of reachable outcomes is
+	// unchanged; the number of executions needed to cover it shrinks, and
+	// under the exhaustive explorers Complete still means every outcome of
+	// the bounded program was observed. Programs with more than 63
+	// workers fall back to full exploration (the sleep set is a 64-bit
+	// mask); the fallback bumps the por_disabled_threads counter and fires
+	// the SetPORFallbackWarn hook.
 	POR PORMode
 	// Plan, when non-nil, is a static access plan (extracted by
-	// internal/analysis/staticplan) consulted only under PORSource, and
+	// internal/analysis/staticplan) consulted only under POR, and
 	// only when its Program matches the program's name (anonymous
 	// programs trust the caller's pairing): the plan oracle
 	// refutes conservative dynamic conflict verdicts before a sleeper is
@@ -644,15 +596,6 @@ type Runner struct {
 	// consulting it never loses a reachable outcome; with Plan nil the
 	// explorer behaves bit-identically to the plan-less one.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints: at every free scheduling decision (one the strategy is
-	// not replaying from a pinned prefix — see freeDecider) the runner
-	// fingerprints the full machine state and cuts the run as Deduped if
-	// the fingerprint was already claimed by an earlier run. Only
-	// consulted when the strategy implements freeDecider (the explorers'
-	// TraceStrategy does; random strategies never dedup). Safe to share
-	// one Dedup across concurrent Runners of the same exploration.
-	Dedup *Dedup
 }
 
 // Run executes prog under the given strategy and returns the result.
@@ -801,14 +744,6 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 	if por == PORSource && r.Plan != nil && (prog.Name == "" || r.Plan.Program == prog.Name) {
 		c.plan = memory.NewPlanOracle(r.Plan, c.mem)
 	}
-	c.dedup, c.free = nil, nil
-	if r.Dedup != nil {
-		if fd, ok := strat.(freeDecider); ok {
-			c.free, c.dedup = fd, r.Dedup
-		}
-	}
-	c.opHist = zeroed(c.opHist, n, c.dedup != nil)
-	c.locCanon = c.locCanon[:0]
 }
 
 // zeroed returns s with n zero elements, reusing its array when it is
@@ -946,11 +881,9 @@ func (c *controller) schedule() bool {
 // grant decides the next step among the parked threads and returns the
 // granted thread, or -1 when no thread is parked or the execution has
 // ended. Under POR it grants only threads not asleep (cutting the run as
-// Pruned when all are), forcing an invisible step if there is one; with
-// dedup armed it first fingerprints the state (cutting the run as
-// Deduped on a repeat); it asks the strategy only when more than one
-// candidate remains, and it cuts the run as Budget once the step budget
-// is spent.
+// Pruned when all are), forcing an invisible step if there is one; it
+// asks the strategy only when more than one candidate remains, and it
+// cuts the run as Budget once the step budget is spent.
 func (c *controller) grant() int {
 	if c.ended {
 		return -1
@@ -965,22 +898,10 @@ func (c *controller) grant() int {
 			c.end(Pruned, nil)
 			return -1
 		}
-		if c.por == PORSource && len(cand) > 1 {
+		if len(cand) > 1 {
 			if i := c.forceInvisible(cand); i >= 0 {
 				cand = cand[i : i+1]
 			}
-		}
-	}
-	if c.dedup != nil && c.free.FreeDecisions() {
-		// Fingerprint the state at every free scheduling decision —
-		// prefix-pinned decisions were claimed by the run that pushed
-		// the prefix, so checking only free ones keeps the set of
-		// checked points a deterministic function of each decision
-		// path (and therefore run counts identical serial vs parallel).
-		c.canonBuf = c.appendDedupState(c.canonBuf[:0])
-		if c.dedup.checkAndMark(c.canonBuf, c.stats) {
-			c.end(Deduped, nil)
-			return -1
 		}
 	}
 	idx := 0

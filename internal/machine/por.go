@@ -12,22 +12,18 @@ import (
 type PORMode uint8
 
 const (
-	// POROff explores the full decision tree.
+	// POROff explores the full decision tree. It is the reference oracle
+	// the reduction is checked against.
 	POROff PORMode = iota
-	// PORSleep prunes with classic sleep sets over the static
-	// memory.Independent oracle: a thread whose announced next operation
-	// commutes with everything executed since it was last a scheduling
-	// candidate is excluded from scheduling until a statically dependent
-	// operation wakes it.
-	PORSleep
-	// PORSource replaces the static wake oracle with source-DPOR: a
-	// sleeping thread wakes only when the granted operation dynamically
-	// conflicts with its pending one (memory.Conflicting — same location
-	// with a write side, or a conservative fence/alloc/free), so a wake
-	// is precisely an observed race whose reversal gets explored, and the
-	// only backtrack points inserted are at prefixes where such a race
-	// occurred. Two refinements prune further while preserving outcome
-	// sets exactly:
+	// PORSource is source-DPOR over sleep sets. A thread whose announced
+	// next operation conflicts with nothing executed since it was last a
+	// scheduling candidate is excluded from scheduling (it sleeps), and it
+	// wakes only when the granted operation dynamically conflicts with its
+	// pending one (memory.Conflicting — same location with a write side,
+	// or a conservative fence/alloc/free), so a wake is precisely an
+	// observed race whose reversal gets explored, and the only backtrack
+	// points inserted are at prefixes where such a race occurred. Two
+	// refinements prune further while preserving outcome sets exactly:
 	//
 	//   - a sleeping writer (or RMW) stays asleep across reads of its
 	//     location: the sibling branch that scheduled the writer first
@@ -48,26 +44,21 @@ func (m PORMode) String() string {
 	switch m {
 	case POROff:
 		return "off"
-	case PORSleep:
-		return "sleep"
 	case PORSource:
 		return "source"
 	}
 	return fmt.Sprintf("por(%d)", uint8(m))
 }
 
-// ParsePORMode parses a -por flag value. "on" is accepted as an alias for
-// "sleep" (the PR 5 flag was a boolean enabling sleep sets).
+// ParsePORMode parses a -por flag value: "off" (or empty) or "source".
 func ParsePORMode(s string) (PORMode, error) {
 	switch s {
-	case "", "off", "false":
+	case "", "off":
 		return POROff, nil
-	case "sleep", "on", "true":
-		return PORSleep, nil
 	case "source":
 		return PORSource, nil
 	}
-	return POROff, fmt.Errorf("unknown POR mode %q (want off, sleep, or source)", s)
+	return POROff, fmt.Errorf("unknown POR mode %q (want off or source)", s)
 }
 
 // The sleep set is a 64-bit mask, so programs with more than 64 threads

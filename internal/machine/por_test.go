@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -30,6 +31,15 @@ func outcomeSet(t *testing.T, build func() Program, opts ExploreOpts) ([]string,
 	}
 	sort.Strings(keys)
 	return keys, res
+}
+
+// sleepCounters renders the sleep-set share of an exploration's
+// telemetry: the sibling branches its sleep sets skipped, the read
+// branches its wakeups pruned, and the sleep-set sizes it observed.
+func sleepCounters(s *telemetry.Stats) string {
+	e := s.Snapshot().Explore
+	return fmt.Sprintf("skipped=%d stale-reads=%d sleep-set-size=%+v",
+		e.PORBranchesSkipped, e.PORStaleReadsSkipped, e.SleepSetSize)
 }
 
 func outcomeString(o map[string]int64) string {
@@ -104,39 +114,14 @@ func TestPORPreservesOutcomesAndPrunes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			full, fres := outcomeSet(t, tc.build, ExploreOpts{})
-			for _, mode := range []PORMode{PORSleep, PORSource} {
-				red, rres := outcomeSet(t, tc.build, ExploreOpts{POR: mode})
-				if !reflect.DeepEqual(full, red) {
-					t.Fatalf("outcome sets differ under %v:\n full: %v\n  por: %v", mode, full, red)
-				}
-				if rres.Runs > fres.Runs {
-					t.Fatalf("%v explored more runs (%d) than full exploration (%d)", mode, rres.Runs, fres.Runs)
-				}
-				t.Logf("runs: full=%d %v=%d outcomes=%d", fres.Runs, mode, rres.Runs, len(full))
+			red, rres := outcomeSet(t, tc.build, ExploreOpts{POR: PORSource})
+			if !reflect.DeepEqual(full, red) {
+				t.Fatalf("outcome sets differ:\n full: %v\n  por: %v", full, red)
 			}
-		})
-	}
-}
-
-// TestSourceNoWorseThanSleep pins the point of the upgrade: on every
-// conflicting workload here, source-DPOR's dynamic race reversal must
-// explore no more runs than the static sleep-set oracle.
-func TestSourceNoWorseThanSleep(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func() Program
-	}{
-		{"disjoint", disjointProgram},
-		{"disjoint3", disjointProgram3},
-		{"sb", sbProgram},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, sleep := outcomeSet(t, tc.build, ExploreOpts{POR: PORSleep})
-			_, source := outcomeSet(t, tc.build, ExploreOpts{POR: PORSource})
-			if source.Runs > sleep.Runs {
-				t.Fatalf("source-DPOR explored more runs (%d) than sleep sets (%d)", source.Runs, sleep.Runs)
+			if rres.Runs > fres.Runs {
+				t.Fatalf("source-DPOR explored more runs (%d) than full exploration (%d)", rres.Runs, fres.Runs)
 			}
-			t.Logf("runs: sleep=%d source=%d", sleep.Runs, source.Runs)
+			t.Logf("runs: full=%d source=%d outcomes=%d", fres.Runs, rres.Runs, len(full))
 		})
 	}
 }
@@ -172,27 +157,51 @@ func disjointProgram3() Program {
 	}
 }
 
+// TestSourceNoWorseThanSleep pins the point of source-DPOR over the
+// static sleep-set mode it replaced: on every workload here its dynamic
+// race reversal explores no more runs than that mode did. The mode is
+// gone, so its run counts are pinned as it last recorded them.
+func TestSourceNoWorseThanSleep(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() Program
+		sleep int
+	}{
+		{"disjoint", disjointProgram, 3},
+		{"disjoint3", disjointProgram3, 9},
+		{"sb", sbProgram, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, source := outcomeSet(t, tc.build, ExploreOpts{POR: PORSource})
+			if source.Runs > tc.sleep {
+				t.Fatalf("source-DPOR explored more runs (%d) than sleep sets did (%d)", source.Runs, tc.sleep)
+			}
+			t.Logf("runs: sleep=%d source=%d", tc.sleep, source.Runs)
+		})
+	}
+}
+
 // TestPORDisjointCollapses pins that the reduction actually bites: with
 // three fully commuting workers the reduced tree must be at least 3x
-// smaller (sleep sets alone do not reach the single-trace optimum, but
-// the blowup they remove grows with the number of commuting threads).
+// smaller (the blowup the sleep sets remove grows with the number of
+// commuting threads).
 func TestPORDisjointCollapses(t *testing.T) {
 	full, fres := outcomeSet(t, disjointProgram3, ExploreOpts{})
-	for _, mode := range []PORMode{PORSleep, PORSource} {
-		red, rres := outcomeSet(t, disjointProgram3, ExploreOpts{POR: mode})
-		if !reflect.DeepEqual(full, red) {
-			t.Fatalf("outcome sets differ under %v:\n full: %v\n  por: %v", mode, full, red)
-		}
-		if rres.Runs*3 > fres.Runs {
-			t.Fatalf("expected ≥3x reduction on disjoint workers under %v: full=%d por=%d", mode, fres.Runs, rres.Runs)
-		}
-		t.Logf("runs: full=%d %v=%d", fres.Runs, mode, rres.Runs)
+	red, rres := outcomeSet(t, disjointProgram3, ExploreOpts{POR: PORSource})
+	if !reflect.DeepEqual(full, red) {
+		t.Fatalf("outcome sets differ:\n full: %v\n  por: %v", full, red)
 	}
+	if rres.Runs*3 > fres.Runs {
+		t.Fatalf("expected ≥3x reduction on disjoint workers: full=%d por=%d", fres.Runs, rres.Runs)
+	}
+	t.Logf("runs: full=%d source=%d", fres.Runs, rres.Runs)
 }
 
 // TestPORParallelMatchesSequential asserts the reduced decision tree is
 // the same tree for the sequential and the subtree-partitioned parallel
-// explorer: identical run counts and outcome sets.
+// explorer: identical run counts and outcome sets (the source subtests),
+// and identical sleep-set counters (the sleep subtests), since each
+// worker must rebuild the sleep sets of its pinned prefix exactly.
 func TestPORParallelMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -201,39 +210,50 @@ func TestPORParallelMatchesSequential(t *testing.T) {
 		{"disjoint", disjointProgram},
 		{"sb", sbProgram},
 	} {
-		for _, mode := range []PORMode{PORSleep, PORSource} {
-			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
-				seqSet, seq := outcomeSet(t, tc.build, ExploreOpts{POR: mode})
-				parSeen := map[string]bool{}
-				var mu chan struct{} = make(chan struct{}, 1)
-				mu <- struct{}{}
-				par := ExploreParallel(ExploreOpts{POR: mode, Workers: 4},
-					func() (func() Program, func(*Result) bool) {
-						return tc.build, func(r *Result) bool {
-							if r.Status == OK {
-								<-mu
-								parSeen[outcomeString(r.Outcome)] = true
-								mu <- struct{}{}
-							}
-							return true
+		t.Run(tc.name+"/source", func(t *testing.T) {
+			seqSet, seq := outcomeSet(t, tc.build, ExploreOpts{POR: PORSource})
+			parSeen := map[string]bool{}
+			var mu chan struct{} = make(chan struct{}, 1)
+			mu <- struct{}{}
+			par := ExploreParallel(ExploreOpts{POR: PORSource, Workers: 4},
+				func() (func() Program, func(*Result) bool) {
+					return tc.build, func(r *Result) bool {
+						if r.Status == OK {
+							<-mu
+							parSeen[outcomeString(r.Outcome)] = true
+							mu <- struct{}{}
 						}
-					})
-				if !par.Complete {
-					t.Fatalf("parallel exploration incomplete after %d runs", par.Runs)
-				}
-				if par.Runs != seq.Runs {
-					t.Fatalf("parallel POR runs %d != sequential %d", par.Runs, seq.Runs)
-				}
-				parSet := make([]string, 0, len(parSeen))
-				for k := range parSeen {
-					parSet = append(parSet, k)
-				}
-				sort.Strings(parSet)
-				if !reflect.DeepEqual(seqSet, parSet) {
-					t.Fatalf("outcome sets differ:\n seq: %v\n par: %v", seqSet, parSet)
-				}
-			})
-		}
+						return true
+					}
+				})
+			if !par.Complete {
+				t.Fatalf("parallel exploration incomplete after %d runs", par.Runs)
+			}
+			if par.Runs != seq.Runs {
+				t.Fatalf("parallel POR runs %d != sequential %d", par.Runs, seq.Runs)
+			}
+			parSet := make([]string, 0, len(parSeen))
+			for k := range parSeen {
+				parSet = append(parSet, k)
+			}
+			sort.Strings(parSet)
+			if !reflect.DeepEqual(seqSet, parSet) {
+				t.Fatalf("outcome sets differ:\n seq: %v\n par: %v", seqSet, parSet)
+			}
+		})
+		t.Run(tc.name+"/sleep", func(t *testing.T) {
+			seq, par := telemetry.New(), telemetry.New()
+			visit := func(*Result) bool { return true }
+			Explore(tc.build, ExploreOpts{POR: PORSource, Stats: seq}, visit)
+			ExploreParallel(ExploreOpts{POR: PORSource, Workers: 4, Stats: par},
+				func() (func() Program, func(*Result) bool) { return tc.build, visit })
+			if got, want := sleepCounters(par), sleepCounters(seq); got != want {
+				t.Fatalf("sleep-set counters differ:\n seq: %s\n par: %s", want, got)
+			}
+			if seq.Explore.PORBranchesSkipped.Load() == 0 {
+				t.Fatalf("sleep sets skipped no branch: %s", sleepCounters(seq))
+			}
+		})
 	}
 }
 
@@ -246,7 +266,7 @@ func TestPORTelemetry(t *testing.T) {
 		t.Fatalf("por_branches_skipped = %d without POR", n)
 	}
 	on := telemetry.New()
-	Explore(disjointProgram, ExploreOpts{Stats: on, POR: PORSleep}, func(*Result) bool { return true })
+	Explore(disjointProgram, ExploreOpts{Stats: on, POR: PORSource}, func(*Result) bool { return true })
 	if n := on.Explore.PORBranchesSkipped.Load(); n == 0 {
 		t.Fatalf("por_branches_skipped stayed 0 with POR on a fully commuting program")
 	}
@@ -277,9 +297,9 @@ func TestSourceTelemetry(t *testing.T) {
 		t.Fatalf("wakeup_tree_size sum %d != por_races_reversed %d", e.WakeupTreeSize.Sum, e.PORRacesReversed)
 	}
 	off := telemetry.New()
-	Explore(sbProgram, ExploreOpts{Stats: off, POR: PORSleep}, func(*Result) bool { return true })
+	Explore(sbProgram, ExploreOpts{Stats: off}, func(*Result) bool { return true })
 	if n := off.Explore.PORRacesReversed.Load(); n != 0 {
-		t.Fatalf("por_races_reversed = %d under sleep-set mode", n)
+		t.Fatalf("por_races_reversed = %d without POR", n)
 	}
 }
 

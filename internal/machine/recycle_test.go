@@ -11,23 +11,31 @@ import (
 	"compass/internal/core"
 	"compass/internal/litmus"
 	"compass/internal/machine"
+	"compass/internal/view"
 )
 
 // withDigest returns prog with a final phase that ends by reporting a
-// digest of the canonical memory state and of main's view, so runs that
-// report equal digests ended in isomorphic states, and the memory's step
-// counter.
+// digest of the final state — every location's name and message history
+// (each message's value, writer, step, RMW flag and clock) and main's
+// clocks — so runs that report equal digests ended in equal states, and
+// the memory's step counter.
 func withDigest(prog machine.Program) machine.Program {
 	final := prog.Final
 	prog.Final = func(th *machine.Thread) {
 		if final != nil {
 			final(th)
 		}
-		m := th.Mem()
-		o := m.CanonicalOrder()
-		h := fnv.New64a()
-		h.Write(o.AppendCanonThread(m.AppendCanon(nil, o), th.TV()))
-		th.Report("canon", int64(h.Sum64()))
+		m, h := th.Mem(), fnv.New64a()
+		for l := range view.Loc(m.NumLocs()) {
+			fmt.Fprintf(h, "%s:", m.Name(l))
+			for _, msg := range m.History(l) {
+				fmt.Fprintf(h, " %d/%d/%d/%v/%v", msg.Val, msg.Writer, msg.Step, msg.IsRMW, msg.Clk)
+			}
+			fmt.Fprintln(h)
+		}
+		tv := th.TV()
+		fmt.Fprintf(h, "main %v %v %v %v", tv.Cur, tv.Acq, tv.FRel, tv.RelLoc)
+		th.Report("digest", int64(h.Sum64()))
 		th.Report("memory steps", int64(m.Step()))
 	}
 	return prog
@@ -36,12 +44,16 @@ func withDigest(prog machine.Program) machine.Program {
 // TestRecycledRunsMatchFreshReplays: the explorers run every execution on
 // one recycled machine per worker. Each run must equal a replay of its
 // decision sequence on a fresh machine (Runner.Run): same status, steps,
-// outcome, trace, per-step thread record and final canonical state, so
+// outcome, trace, per-step thread record and final state digest, so
 // nothing of one run leaks into the next. The random loops keep a
 // machine too (Runner.Keep), under one strategy reseeded for each run:
 // each such run must equal a fresh Runner.Run under a fresh
 // NewRandomBiased strategy with its seed and bias (the random/...
 // subtests).
+//
+// The explorer subtests keep the dedup=false suffix they had while each
+// program also ran under the retired state-space dedup, so their names
+// stay comparable across that change.
 //
 // Library workloads tag their event graphs from a process-wide counter
 // during setup, and the tags reach memory and traces. So every run holds
@@ -76,42 +88,34 @@ func TestRecycledRunsMatchFreshReplays(t *testing.T) {
 			return fresh()
 		}
 		for _, por := range []machine.PORMode{machine.POROff, machine.PORSource} {
-			for _, dedup := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/%v/dedup=%v", p.name, por, dedup), func(t *testing.T) {
-					runs := 0
-					visit := func(r *machine.Result) bool {
-						defer mu.Unlock()
-						runs++
-						seen[r.Status]++
-						if err := replayDiff(fresh, por, budget, r); err != nil {
-							t.Errorf("run %d: %v", runs, err)
-							return false
-						}
-						return true
+			t.Run(fmt.Sprintf("%s/%v/dedup=false", p.name, por), func(t *testing.T) {
+				runs := 0
+				visit := func(r *machine.Result) bool {
+					defer mu.Unlock()
+					runs++
+					seen[r.Status]++
+					if err := replayDiff(fresh, por, budget, r); err != nil {
+						t.Errorf("run %d: %v", runs, err)
+						return false
 					}
-					opts := machine.ExploreOpts{Trace: true, POR: por, Budget: budget, MaxRuns: maxRuns}
-					if dedup {
-						opts.Dedup = machine.NewDedup(0)
-					}
-					machine.Explore(build, opts, visit)
-					serial := runs
+					return true
+				}
+				opts := machine.ExploreOpts{Trace: true, POR: por, Budget: budget, MaxRuns: maxRuns}
+				machine.Explore(build, opts, visit)
+				serial := runs
 
-					if dedup {
-						opts.Dedup = machine.NewDedup(0)
-					}
-					opts.Workers, opts.PauseRuns = 2, 7
-					newWorker := func() (func() machine.Program, func(*machine.Result) bool) { return build, visit }
-					res := machine.ExploreParallel(opts, newWorker)
-					for res.Paused && runs-serial < maxRuns {
-						opts.Resume = res.Frontier
-						res = machine.ExploreParallel(opts, newWorker)
-						resumes++
-					}
-					if serial == 0 || runs == serial {
-						t.Fatalf("explored %d serial and %d parallel runs", serial, runs-serial)
-					}
-				})
-			}
+				opts.Workers, opts.PauseRuns = 2, 7
+				newWorker := func() (func() machine.Program, func(*machine.Result) bool) { return build, visit }
+				res := machine.ExploreParallel(opts, newWorker)
+				for res.Paused && runs-serial < maxRuns {
+					opts.Resume = res.Frontier
+					res = machine.ExploreParallel(opts, newWorker)
+					resumes++
+				}
+				if serial == 0 || runs == serial {
+					t.Fatalf("explored %d serial and %d parallel runs", serial, runs-serial)
+				}
+			})
 		}
 		for _, por := range []machine.PORMode{machine.POROff, machine.PORSource} {
 			t.Run(fmt.Sprintf("random/%s/%v", p.name, por), func(t *testing.T) {
@@ -124,7 +128,7 @@ func TestRecycledRunsMatchFreshReplays(t *testing.T) {
 	// Run by name, the test may have run only the explorer subtests or
 	// only the random ones.
 	if len(seen) > 0 {
-		for _, st := range []machine.Status{machine.OK, machine.Pruned, machine.Deduped} {
+		for _, st := range []machine.Status{machine.OK, machine.Pruned} {
 			if seen[st] == 0 {
 				t.Errorf("no %v run replayed (saw %v)", st, seen)
 			}
@@ -143,18 +147,12 @@ func TestRecycledRunsMatchFreshReplays(t *testing.T) {
 }
 
 // replayDiff replays r's decisions on a fresh machine and reports how the
-// replay differs from r. The replay runs without the visited set, so a
-// Deduped run is replayed with a budget of exactly its steps, which cuts
-// the replay at the grant where dedup cut the original.
+// replay differs from r.
 func replayDiff(build func() machine.Program, por machine.PORMode, budget int, r *machine.Result) error {
-	want, steps := r.Status, r.Steps
-	if r.Status == machine.Deduped {
-		budget, want, steps = r.Steps, machine.Budget, r.Steps+1
-	}
 	fresh := &machine.Runner{Trace: true, POR: por, Budget: budget}
 	got := fresh.Run(build(), machine.ReplayStrategy(r.Decisions()))
 	switch {
-	case got.Status != want || got.Steps != steps:
+	case got.Status != r.Status || got.Steps != r.Steps:
 		return fmt.Errorf("recycled run %v after %d steps, fresh replay %v after %d", r.Status, r.Steps, got.Status, got.Steps)
 	case !maps.Equal(got.Outcome, r.Outcome):
 		return fmt.Errorf("recycled run reported %v, fresh replay %v", r.Outcome, got.Outcome)

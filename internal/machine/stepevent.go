@@ -85,29 +85,6 @@ type StepEvent struct {
 	Race bool
 }
 
-// Access projects the traced operation back onto the POR access metadata
-// the thread announced at its scheduling point — the same classification
-// the dynamic conflict scan (memory.Conflicting) and the static oracle
-// (memory.Independent) judge. Fences of every flavour map to AccFence,
-// matching what Thread.Fence/FenceSC announce.
-func (e StepEvent) Access() memory.Access {
-	switch e.Kind {
-	case StepAlloc:
-		return memory.Access{Kind: memory.AccAlloc}
-	case StepRead:
-		return memory.Access{Kind: memory.AccRead, Loc: e.Loc}
-	case StepWrite:
-		return memory.Access{Kind: memory.AccWrite, Loc: e.Loc}
-	case StepFree:
-		return memory.Access{Kind: memory.AccFree, Loc: e.Loc}
-	case StepFence, StepFenceSC:
-		return memory.Access{Kind: memory.AccFence}
-	case StepCAS, StepFAA, StepXchg, StepUpdate:
-		return memory.Access{Kind: memory.AccRMW, Loc: e.Loc}
-	}
-	return memory.Access{}
-}
-
 // String renders the event in the legacy trace format (the lines Explain
 // and -explain always printed).
 func (e StepEvent) String() string {

@@ -125,11 +125,6 @@ func (s *TraceStrategy) PickThread(runnable []int) int { return s.next(len(runna
 // Choose replays or defaults the next read choice.
 func (s *TraceStrategy) Choose(n int) int { return s.next(n) }
 
-// FreeDecisions reports whether the replay prefix is exhausted, i.e.
-// subsequent decisions are free rather than pinned. The runner's dedup
-// check fires only at free decisions (see Runner.Dedup).
-func (s *TraceStrategy) FreeDecisions() bool { return s.pos >= len(s.prefix) }
-
 // ExploreOpts bounds an exhaustive exploration.
 type ExploreOpts struct {
 	// MaxRuns caps the number of executions (default 200000).
@@ -180,13 +175,12 @@ type ExploreOpts struct {
 	// is abandoned, it is merely deferred.
 	PauseRuns int
 	// POR selects the partial-order reduction mode applied in every
-	// execution's Runner (see Runner.POR and PORMode): PORSleep shrinks
-	// scheduling decisions to the threads whose next step is not known to
-	// commute with everything since they were last considered; PORSource
-	// further wakes sleepers only on dynamically observed conflicts and
-	// prunes stale read-value branches via wakeup read floors, so whole
-	// subtrees that replay explored equivalence classes are never
-	// branched on. The set of reachable outcomes — and the meaning of
+	// execution's Runner (see Runner.POR and PORMode): PORSource shrinks
+	// scheduling decisions to the threads whose next step conflicts with
+	// something executed since they were last considered, waking sleepers
+	// only on dynamically observed conflicts, and prunes stale read-value
+	// branches via wakeup read floors, so whole subtrees that replay
+	// explored equivalence classes are never branched on. The set of reachable outcomes — and the meaning of
 	// Complete as a bounded proof over them — is preserved; only Runs
 	// shrinks. Composes with Footprint (which prunes per-access work, not
 	// branches) and with ExploreParallel's subtree partitioning (the
@@ -196,17 +190,9 @@ type ExploreOpts struct {
 	// Plan, when non-nil, is installed into every execution's Runner (see
 	// Runner.Plan): under PORSource the static access-plan oracle refutes
 	// spurious dynamic conflicts and forces plan-invisible steps, further
-	// shrinking Runs at provably identical outcome sets. Ignored in the
-	// other POR modes.
+	// shrinking Runs at provably identical outcome sets. Ignored under
+	// POROff.
 	Plan *memory.Plan
-	// Dedup, when non-nil, is the shared visited set of canonical state
-	// fingerprints installed into every execution's Runner (see
-	// Runner.Dedup): runs reaching an already-claimed state are cut as
-	// Deduped, shrinking Runs at provably identical outcome sets across
-	// every POR mode. The same Dedup must be reused across the segments
-	// of one paused/resumed exploration (serialize it with the frontier);
-	// sharing it across unrelated explorations is unsound.
-	Dedup *Dedup
 }
 
 // ExploreResult summarizes an exploration.
@@ -237,7 +223,7 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if maxRuns <= 0 {
 		maxRuns = 200000
 	}
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan}
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
@@ -338,11 +324,15 @@ func ExploreParallel(opts ExploreOpts, newWorker func() (build func() Program, v
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer e.recoverWorker()
 			build, visit := newWorker()
 			e.worker(build, visit)
 		}()
 	}
 	wg.Wait()
+	if e.panicked {
+		panic(e.panicVal)
+	}
 	res := ExploreResult{Runs: e.runs}
 	switch {
 	case e.stopped:
@@ -365,9 +355,31 @@ type parallelExplorer struct {
 	inflight int       // workers currently running a prefix
 	runs     int
 	maxRuns  int
-	stopped  bool // a visit returned false
+	stopped  bool // a visit returned false, or a worker panicked
 	paused   bool // maxRuns or PauseRuns hit with work remaining
 	opts     ExploreOpts
+	// panicked is set, with the value, by the first worker to panic.
+	panicked bool
+	panicVal any
+}
+
+// recoverWorker, deferred by each worker so that it runs after the
+// worker's kept machine is closed, turns a panic in the worker (in a
+// thread body, the strategy or the visit) into a stop of the whole
+// exploration, and records the first panic value, which ExploreParallel
+// raises again in its caller once every worker has returned.
+func (e *parallelExplorer) recoverWorker() {
+	p := recover()
+	if p == nil {
+		return
+	}
+	e.mu.Lock()
+	if !e.panicked {
+		e.panicked, e.panicVal = true, p
+	}
+	e.stopped = true
+	e.mu.Unlock()
+	e.cond.Broadcast()
 }
 
 // next claims the deepest unexplored prefix, blocking while the frontier
@@ -417,7 +429,7 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
-	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan, Dedup: e.opts.Dedup}
+	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan}
 	// One kept machine serves every run of this worker, its thread
 	// coroutines living until the worker returns, and one decision
 	// buffer: children copy out of it before they reach the shared
@@ -505,7 +517,7 @@ func (s *Recorded) Choose(n int) int {
 //
 //compass:accounting
 func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, visit func(*Result) bool) int {
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan, Dedup: opts.Dedup}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan}
 	m := runner.Keep()
 	defer m.Close()
 	strat := NewRandom(seed)

@@ -95,10 +95,8 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	after("worker failure", runner.Run(Program{
 		Workers: []func(*Thread){spin, func(th *Thread) { th.Yield(); th.Failf("worker") }, spin},
 	}, ReplayStrategy([]Decision{{N: 3, Pick: 1}})))
-	Explore(disjointProgram, ExploreOpts{POR: PORSleep}, visiting("pruned", threadsOf(disjointProgram)))
+	Explore(disjointProgram, ExploreOpts{POR: PORSource}, visiting("pruned", threadsOf(disjointProgram)))
 	noLeak(t, &base, "pruned exploration")
-	Explore(buildMP, ExploreOpts{Dedup: NewDedup(0)}, visiting("deduped", threadsOf(buildMP)))
-	noLeak(t, &base, "deduped exploration")
 
 	// Early stop: the visit ends the exploration at its second run, with
 	// a spinning worker parked.
@@ -168,7 +166,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 	noLeak(t, &base, "exploration that panicked")
 
-	for _, st := range []Status{OK, Racy, Budget, Failed, Pruned, Deduped} {
+	for _, st := range []Status{OK, Racy, Budget, Failed, Pruned} {
 		if seen[st] == 0 {
 			t.Errorf("no %v run exercised (saw %v)", st, seen)
 		}

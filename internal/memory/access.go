@@ -5,45 +5,46 @@ import "compass/internal/view"
 // This file is the access metadata for partial-order reduction: every
 // machine scheduling point announces what kind of operation the parked
 // thread will perform next, and on which location, so the scheduler can
-// judge whether two pending steps commute. The judgement is semantic, not
-// syntactic — it is derived from which parts of the ORC11 state
-// (memory.go) each operation reads or writes.
+// judge whether two pending steps conflict (Conflicting, conflict.go).
+// The judgement is semantic, not syntactic — it is derived from which
+// parts of the ORC11 state (memory.go) each operation reads or writes.
 
-// AccessKind classifies a pending machine operation for the independence
-// oracle.
+// AccessKind classifies a pending machine operation for the conflict
+// relation.
 type AccessKind uint8
 
 const (
 	// AccNone is a pure scheduling point with no shared effect (Yield).
-	// The zero value, so an unannounced step is conservatively... nothing:
-	// a no-op commutes with everything.
+	// The zero value, so an unannounced step conflicts with nothing.
 	AccNone AccessKind = iota
-	// AccRead is a load (any mode).
+	// AccRead is a load (any mode). It conflicts with a write or RMW to
+	// its location; two reads never conflict (each mutates only the
+	// reader's view and the location's commutative read-view lattice).
 	AccRead
-	// AccWrite is a store (any mode).
+	// AccWrite is a store (any mode). It conflicts with every read, write
+	// and RMW of its location.
 	AccWrite
 	// AccRMW is an atomic read-modify-write (CAS, FetchAdd, Exchange,
-	// Update). Conservatively dependent with every memory operation: an
-	// RMW reads the mo-maximal message, so any write — to any location the
-	// oracle does not track writes-per-location for — could change which
-	// message it reads, and its own write extends a release sequence.
+	// Update). It reads the mo-maximal message and extends the release
+	// sequence, so it conflicts with every access to its location, and
+	// with nothing at another location.
 	AccRMW
-	// AccFence is any fence, including SC fences. Thread-local
-	// release/acquire fences would in fact commute with remote operations,
-	// but SC fences order through the global SC clock; both are
-	// conservatively dependent, per the tentpole's stated oracle.
+	// AccFence is any fence, including SC fences. It conservatively
+	// conflicts with every memory operation: SC fences order through the
+	// global SC clock, and thread-local release/acquire fences are not
+	// told apart from them yet.
 	AccFence
 	// AccAlloc is an allocation. Location IDs are assigned in allocation
-	// order, so two allocations do not commute (the resulting states name
-	// locations differently), and an allocation does not commute past
-	// operations that could observe the new location.
+	// order, so two allocations do not commute, and an allocation
+	// conservatively conflicts with every memory operation.
 	AccAlloc
-	// AccFree is a deallocation; conservatively dependent (a reordered
-	// access to the freed location changes a UAF verdict).
+	// AccFree is a deallocation. It conservatively conflicts with every
+	// memory operation (a reordered access to the freed location changes
+	// a UAF verdict).
 	AccFree
 	// AccReport records a named outcome value. Two reports to the same
-	// name race on the outcome map entry (last write wins); everything
-	// else commutes with a report.
+	// name race on the outcome map entry (last write wins); a report
+	// conflicts with nothing else.
 	AccReport
 )
 
@@ -54,48 +55,4 @@ type Access struct {
 	Kind AccessKind
 	Loc  view.Loc
 	Name string
-}
-
-// conservative reports whether the kind is treated as dependent with every
-// memory operation regardless of location.
-func conservative(k AccessKind) bool {
-	return k == AccRMW || k == AccFence || k == AccAlloc || k == AccFree
-}
-
-// Independent reports whether the two pending operations commute: executing
-// them in either order from any state yields the same state (up to the
-// diagnostics-only Message.Step stamps) and neither enables, disables, nor
-// changes the choice set of the other.
-//
-// The relation is deliberately conservative — a sound under-approximation
-// of true commutativity. It returns true only for:
-//
-//   - anything involving a pure scheduling point (AccNone);
-//   - reports to distinct names, or a report against any memory operation
-//     (reports touch only the outcome map);
-//   - reads and writes to disjoint locations (per-location histories and
-//     per-thread views are disjoint state);
-//   - two reads of the same location (reads mutate only the reader's view
-//     and join into the location's commutative read-view lattice; neither
-//     changes the other's visible window).
-//
-// RMWs, fences, allocations, and frees are dependent with every memory
-// operation. Soundness of sleep-set pruning needs only that Independent
-// never returns true for a non-commuting pair; every false merely costs
-// reduction, never outcomes.
-func Independent(a, b Access) bool {
-	if a.Kind == AccNone || b.Kind == AccNone {
-		return true
-	}
-	if a.Kind == AccReport || b.Kind == AccReport {
-		return a.Kind != b.Kind || a.Name != b.Name
-	}
-	if conservative(a.Kind) || conservative(b.Kind) {
-		return false
-	}
-	// Both are plain reads or writes.
-	if a.Loc != b.Loc {
-		return true
-	}
-	return a.Kind == AccRead && b.Kind == AccRead
 }

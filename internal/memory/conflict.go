@@ -2,27 +2,25 @@ package memory
 
 import "compass/internal/view"
 
-// This file is the dynamic side of the partial-order reduction oracle:
-// where Independent (access.go) is the static, symmetric relation sleep
-// sets prune with, Conflicting is the relation source-DPOR reverses on —
-// two accesses that really contend for the same piece of ORC11 state in
-// the execution at hand. The machine consults it when a granted operation
-// meets a sleeping thread's pending operation: a dynamic conflict is a
-// race whose reversal must be explored (a backtrack point), everything
-// else keeps the sleeper asleep.
+// This file is the conflict relation of source-DPOR: two accesses that
+// really contend for the same piece of ORC11 state in the execution at
+// hand. The machine consults it when a granted operation meets a
+// sleeping thread's pending operation: a conflict is a race whose
+// reversal must be explored (a backtrack point), everything else keeps
+// the sleeper asleep. A pair that does not conflict commutes: executing
+// it in either order from any state yields the same state (up to the
+// diagnostics-only Message.Step stamps), and neither step enables,
+// disables or changes the choice set of the other. Soundness needs only
+// that direction; every conservative true merely costs reduction, never
+// outcomes.
 
 // Conflicting reports whether two accesses dynamically conflict: they
 // touch the same location and at least one of them has a write side
 // (write or RMW), or one of them is a conservative operation (fence,
 // alloc, free) that orders against every memory operation, or they are
-// reports racing on the same outcome name.
-//
-// Conflicting is a strict refinement of the static oracle: whenever it
-// returns true, Independent(a, b) is false (the property test in
-// conflict_test.go pins this), but it returns false for pairs the static
-// relation only conservatively orders — most importantly RMWs against
-// accesses of other locations, which is where CAS-loop-heavy library
-// workloads regain their schedule freedom.
+// reports racing on the same outcome name. An RMW against an access of
+// another location does not conflict, which is where CAS-loop-heavy
+// library workloads keep their schedule freedom.
 func Conflicting(a, b Access) bool {
 	if a.Kind == AccNone || b.Kind == AccNone {
 		return false

@@ -26,31 +26,141 @@ func accessCorpus() []Access {
 	}
 }
 
-// TestConflictingImpliesDependent exhaustively checks the contract
-// between the two oracles over the corpus: a dynamically conflicting
-// pair is never statically independent. Conflicting is the wake relation
-// of source-DPOR and Independent the (negated) wake relation of
-// sleep-set mode; if a pair could be both conflicting and independent,
-// source mode would branch on a reversal that sleep mode proved
-// unnecessary — or worse, the independence oracle would be unsound.
-// The converse is deliberately false: Independent is conservative, so
-// dependent-but-not-conflicting pairs (e.g. an RMW against a write to a
-// different location) are exactly where source-DPOR wins.
+// independent is the static commutation relation the retired sleep-set
+// mode woke sleepers by, kept as a reference for Conflicting. It returns
+// true only for pairs that commute from every state: anything against a
+// pure scheduling point, a report against anything but a same-name
+// report, plain reads and writes of disjoint locations, and two reads of
+// one location. RMWs, fences, allocations and frees depend on every
+// memory operation.
+func independent(a, b Access) bool {
+	if a.Kind == AccNone || b.Kind == AccNone {
+		return true
+	}
+	if a.Kind == AccReport || b.Kind == AccReport {
+		return a.Kind != b.Kind || a.Name != b.Name
+	}
+	for _, k := range []AccessKind{a.Kind, b.Kind} {
+		if k == AccRMW || k == AccFence || k == AccAlloc || k == AccFree {
+			return false
+		}
+	}
+	if a.Loc != b.Loc {
+		return true
+	}
+	return a.Kind == AccRead && b.Kind == AccRead
+}
+
+// TestIndependentSymmetric pins that the reference relation is symmetric,
+// so the implication checks below need not try both orders.
+func TestIndependentSymmetric(t *testing.T) {
+	corpus := accessCorpus()
+	for _, a := range corpus {
+		for _, b := range corpus {
+			if independent(a, b) != independent(b, a) {
+				t.Fatalf("independent not symmetric on %+v, %+v", a, b)
+			}
+		}
+	}
+}
+
+// TestIndependentRelation pins the reference relation on the pairs
+// TestConflictingRelation pins Conflicting on, so that the reference
+// cannot drift and silently weaken the implication checks.
+func TestIndependentRelation(t *testing.T) {
+	rd := func(l view.Loc) Access { return Access{Kind: AccRead, Loc: l} }
+	wr := func(l view.Loc) Access { return Access{Kind: AccWrite, Loc: l} }
+	rep := func(n string) Access { return Access{Kind: AccReport, Name: n} }
+	cases := []struct {
+		name string
+		a, b Access
+		want bool
+	}{
+		{"yield vs anything", Access{Kind: AccNone}, wr(0), true},
+		{"yield vs fence", Access{Kind: AccNone}, Access{Kind: AccFence}, true},
+		{"read/read same loc", rd(3), rd(3), true},
+		{"read/write same loc", rd(3), wr(3), false},
+		{"write/write same loc", wr(3), wr(3), false},
+		{"read/write disjoint", rd(3), wr(4), true},
+		{"write/write disjoint", wr(3), wr(4), true},
+		{"rmw vs disjoint read", Access{Kind: AccRMW, Loc: 3}, rd(4), false},
+		{"rmw vs rmw disjoint", Access{Kind: AccRMW, Loc: 3}, Access{Kind: AccRMW, Loc: 4}, false},
+		{"fence vs read", Access{Kind: AccFence}, rd(0), false},
+		{"alloc vs alloc", Access{Kind: AccAlloc}, Access{Kind: AccAlloc}, false},
+		{"alloc vs write", Access{Kind: AccAlloc}, wr(0), false},
+		{"free vs read", Access{Kind: AccFree, Loc: 3}, rd(4), false},
+		{"report vs report same name", rep("x"), rep("x"), false},
+		{"report vs report distinct names", rep("x"), rep("y"), true},
+		{"report vs write", rep("x"), wr(0), true},
+		{"report vs fence", rep("x"), Access{Kind: AccFence}, true},
+		{"report vs rmw", rep("x"), Access{Kind: AccRMW, Loc: 0}, true},
+	}
+	for _, c := range cases {
+		if got := independent(c.a, c.b); got != c.want {
+			t.Errorf("%s: independent(%+v, %+v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestConflictingImpliesDependent checks Conflicting against the
+// reference: no pair that commutes from every state may conflict. The
+// converse is deliberately false, since RMWs against another location
+// commute yet the reference calls them dependent, so the corpus must
+// also hold a dependent pair that does not conflict.
 func TestConflictingImpliesDependent(t *testing.T) {
 	corpus := accessCorpus()
 	witness := false
 	for _, a := range corpus {
 		for _, b := range corpus {
-			if Conflicting(a, b) && Independent(a, b) {
-				t.Errorf("Conflicting(%+v, %+v) but Independent: wake relations contradict", a, b)
+			if Conflicting(a, b) && independent(a, b) {
+				t.Errorf("Conflicting(%+v, %+v) but the pair commutes", a, b)
 			}
-			if !Conflicting(a, b) && !Independent(a, b) {
-				witness = true // source-DPOR strictly finer here
+			if !Conflicting(a, b) && !independent(a, b) {
+				witness = true
 			}
 		}
 	}
 	if !witness {
-		t.Error("no dependent-but-not-conflicting pair in corpus: source-DPOR would never beat sleep sets")
+		t.Error("no dependent-but-not-conflicting pair in corpus")
+	}
+}
+
+// TestConflictingRelation pins Conflicting's answer on one pair of each
+// shape. Rows marked conservative are true only because fences, allocs
+// and frees conflict with every memory operation today; a more precise
+// relation shows up as edits to exactly those rows.
+func TestConflictingRelation(t *testing.T) {
+	rd := func(l view.Loc) Access { return Access{Kind: AccRead, Loc: l} }
+	wr := func(l view.Loc) Access { return Access{Kind: AccWrite, Loc: l} }
+	rep := func(n string) Access { return Access{Kind: AccReport, Name: n} }
+	cases := []struct {
+		name string
+		a, b Access
+		want bool
+	}{
+		{"yield vs anything", Access{Kind: AccNone}, wr(0), false},
+		{"yield vs fence", Access{Kind: AccNone}, Access{Kind: AccFence}, false},
+		{"read/read same loc", rd(3), rd(3), false},
+		{"read/write same loc", rd(3), wr(3), true},
+		{"write/write same loc", wr(3), wr(3), true},
+		{"read/write disjoint", rd(3), wr(4), false},
+		{"write/write disjoint", wr(3), wr(4), false},
+		{"rmw vs disjoint read", Access{Kind: AccRMW, Loc: 3}, rd(4), false},
+		{"rmw vs rmw disjoint", Access{Kind: AccRMW, Loc: 3}, Access{Kind: AccRMW, Loc: 4}, false},
+		{"fence vs read", Access{Kind: AccFence}, rd(0), true},                   // conservative
+		{"alloc vs alloc", Access{Kind: AccAlloc}, Access{Kind: AccAlloc}, true}, // conservative
+		{"alloc vs write", Access{Kind: AccAlloc}, wr(0), true},                  // conservative
+		{"free vs read", Access{Kind: AccFree, Loc: 3}, rd(4), true},             // conservative
+		{"report vs report same name", rep("x"), rep("x"), true},
+		{"report vs report distinct names", rep("x"), rep("y"), false},
+		{"report vs write", rep("x"), wr(0), false},
+		{"report vs fence", rep("x"), Access{Kind: AccFence}, false},
+		{"report vs rmw", rep("x"), Access{Kind: AccRMW, Loc: 0}, false},
+	}
+	for _, c := range cases {
+		if got := Conflicting(c.a, c.b); got != c.want {
+			t.Errorf("%s: Conflicting(%+v, %+v) = %v, want %v", c.name, c.a, c.b, got, c.want)
+		}
 	}
 }
 
@@ -67,9 +177,9 @@ func TestConflictingSymmetry(t *testing.T) {
 	}
 }
 
-// FuzzConflictingImpliesDependent drives the same implication over
-// fuzzer-chosen access pairs, covering kind/location/name combinations
-// the hand corpus misses.
+// FuzzConflictingImpliesDependent drives the implication and symmetry
+// checks over fuzzer-chosen access pairs, covering kind/location/name
+// combinations the hand corpus misses.
 func FuzzConflictingImpliesDependent(f *testing.F) {
 	f.Add(uint8(1), uint16(1), "", uint8(2), uint16(1), "")
 	f.Add(uint8(3), uint16(1), "", uint8(2), uint16(2), "")
@@ -77,8 +187,8 @@ func FuzzConflictingImpliesDependent(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ka uint8, la uint16, na string, kb uint8, lb uint16, nb string) {
 		a := Access{Kind: AccessKind(ka % 8), Loc: view.Loc(la), Name: na}
 		b := Access{Kind: AccessKind(kb % 8), Loc: view.Loc(lb), Name: nb}
-		if Conflicting(a, b) && Independent(a, b) {
-			t.Fatalf("Conflicting(%+v, %+v) but Independent", a, b)
+		if Conflicting(a, b) && independent(a, b) {
+			t.Fatalf("Conflicting(%+v, %+v) but the pair commutes", a, b)
 		}
 		if Conflicting(a, b) != Conflicting(b, a) {
 			t.Fatalf("Conflicting not symmetric on (%+v, %+v)", a, b)

@@ -143,8 +143,8 @@ func (l *location) maxT() view.Time { return view.Time(len(l.hist)) }
 
 // reset makes l a fresh location named name, keeping its history array
 // and the arrays of its NA read view and old messages (see newClock).
-// The read view is emptied even though hasRead is cleared: the canonical
-// encoding reads it either way.
+// The read view is emptied along with hasRead, so no read of the run
+// before survives into the next.
 func (l *location) reset(name string) {
 	l.name = name
 	l.hist = l.hist[:0]

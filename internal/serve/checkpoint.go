@@ -13,8 +13,9 @@ import (
 
 // CheckpointVersion identifies the checkpoint file layout; bump on
 // breaking changes so a daemon never misreads state written by an
-// incompatible build.
-const CheckpointVersion = 1
+// incompatible build. Version 2 dropped the dedup visited set (and the
+// sleep POR mode) that version 1 files may hold.
+const CheckpointVersion = 2
 
 // Checkpoint is the durable state of one job at a quiescent pause point:
 // everything a restarted compassd needs to continue the job — or to

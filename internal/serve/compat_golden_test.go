@@ -12,7 +12,6 @@ import (
 
 	"compass/internal/check"
 	"compass/internal/litmus"
-	"compass/internal/machine"
 	"compass/internal/telemetry"
 )
 
@@ -27,23 +26,17 @@ func compatHeader(version int) string {
 }
 
 // compatLine renders one exploration as "<workload> por=<mode> runs=N
-// dedup=<sha256> telemetry=<sha256>": the run count is the decision
-// tree's shape, the dedup digest covers the visited fingerprints, and
-// the telemetry digest covers every counter. Those are what a
-// checkpoint persists (frontier prefixes, the Dedup set, the telemetry
-// snapshot), so a change to any of them makes old checkpoints resume
-// into a different exploration.
-func compatLine(t *testing.T, name string, mode check.PORMode, runs int, d *machine.Dedup, stats *telemetry.Stats) string {
+// telemetry=<sha256>": the run count is the decision tree's shape and
+// the telemetry digest covers every counter. Those are what a checkpoint
+// persists (frontier prefixes, the telemetry snapshot), so a change to
+// either makes old checkpoints resume into a different exploration.
+func compatLine(t *testing.T, name string, mode check.PORMode, runs int, stats *telemetry.Stats) string {
 	t.Helper()
-	dj, err := json.Marshal(d)
-	if err != nil {
-		t.Fatalf("%s: dedup: %v", name, err)
-	}
 	sj, err := json.Marshal(stats.Snapshot())
 	if err != nil {
 		t.Fatalf("%s: telemetry: %v", name, err)
 	}
-	return fmt.Sprintf("%s por=%s runs=%d dedup=%x telemetry=%x", name, mode, runs, sha256.Sum256(dj), sha256.Sum256(sj))
+	return fmt.Sprintf("%s por=%s runs=%d telemetry=%x", name, mode, runs, sha256.Sum256(sj))
 }
 
 // compatRandomLine renders one seeded random library job as
@@ -65,34 +58,34 @@ func compatRandomLine(t *testing.T, name string, seed int64, rep *check.Report, 
 	return fmt.Sprintf("%s mode=random seed=%d execs=%d report=%x telemetry=%x", name, seed, rep.Executions, sha256.Sum256(rj), sha256.Sum256(sj))
 }
 
-// compatLines explores every configuration serially with a fresh dedup
-// set and telemetry sink: the litmus suite and the footprint workloads
-// under each POR mode (STAR5 at source only; it does not finish
+// compatLines explores every configuration serially with a fresh
+// telemetry sink: the litmus suite and the footprint workloads with POR
+// off and at source (STAR5 at source only; it does not finish
 // unreduced), and the library corpus at source. It also runs each
 // library workload as a serial seeded random job with the refinement
 // oracle on and a fresh telemetry sink.
 func compatLines(t *testing.T) []string {
 	var lines []string
 	for _, tc := range append(litmus.Suite(), litmus.FootprintSuite()...) {
-		for _, mode := range []check.PORMode{check.POROff, check.PORSleep, check.PORSource} {
+		for _, mode := range []check.PORMode{check.POROff, check.PORSource} {
 			if tc.Name == "STAR5" && mode != check.PORSource {
 				continue
 			}
-			d, stats := machine.NewDedup(0), telemetry.New()
-			res := litmus.Run(tc, 0, litmus.WithWorkers(1), litmus.WithPORMode(mode), litmus.WithDedup(d), litmus.WithStats(stats))
+			stats := telemetry.New()
+			res := litmus.Run(tc, 0, litmus.WithWorkers(1), litmus.WithPORMode(mode), litmus.WithStats(stats))
 			if !res.Complete {
 				t.Errorf("litmus/%s por=%s: incomplete after %d runs", tc.Name, mode, res.Runs)
 			}
-			lines = append(lines, compatLine(t, "litmus/"+tc.Name, mode, res.Runs, d, stats))
+			lines = append(lines, compatLine(t, "litmus/"+tc.Name, mode, res.Runs, stats))
 		}
 	}
 	for _, lt := range litmus.LibrarySuite() {
-		d, stats := machine.NewDedup(0), telemetry.New()
-		res := litmus.RunLib(lt, 0, litmus.WithWorkers(1), litmus.WithPORMode(check.PORSource), litmus.WithDedup(d), litmus.WithStats(stats))
+		stats := telemetry.New()
+		res := litmus.RunLib(lt, 0, litmus.WithWorkers(1), litmus.WithPORMode(check.PORSource), litmus.WithStats(stats))
 		if !res.Complete {
 			t.Errorf("%s por=source: incomplete after %d runs", lt.Name, res.Runs)
 		}
-		lines = append(lines, compatLine(t, lt.Name, check.PORSource, res.Runs, d, stats))
+		lines = append(lines, compatLine(t, lt.Name, check.PORSource, res.Runs, stats))
 	}
 	const seed, execs = 11, 100
 	for _, lt := range litmus.LibrarySuite() {
@@ -131,8 +124,8 @@ func compatKey(line string) string {
 
 // TestCheckpointCompatGolden pins the exploration state that checkpoints
 // persist. A checkpoint written by one build is resumed by another only
-// when their CheckpointVersion agrees, so any change to run counts, dedup
-// fingerprints or telemetry counters must come with a version bump —
+// when their CheckpointVersion agrees, so any change to run counts or
+// telemetry counters must come with a version bump —
 // otherwise a resumed job silently continues a different exploration.
 // Regenerate with
 //

@@ -57,8 +57,13 @@ func Handler(m *Manager) http.Handler {
 	}
 
 	handle("POST", "/jobs", true, func(w http.ResponseWriter, r *http.Request) {
+		// Unknown fields are refused rather than ignored: a spec naming an
+		// option this build lacks (say "dedup") would otherwise run as a
+		// different job than the one submitted.
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode job spec: %w", err))
 			return
 		}

@@ -56,7 +56,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 
 	// Submit a job.
-	body, _ := json.Marshal(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	body, _ := json.Marshal(JobSpec{Workload: "litmus/SB", POR: "source"})
 	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

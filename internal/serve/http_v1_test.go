@@ -42,7 +42,7 @@ func TestHTTPV1Lifecycle(t *testing.T) {
 		t.Fatalf("GET /v1/healthz: %d", code)
 	}
 
-	body, _ := json.Marshal(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	body, _ := json.Marshal(JobSpec{Workload: "litmus/SB", POR: "source"})
 	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -209,12 +209,40 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 
 	// shutting_down: submission once the drain began.
 	m.Shutdown()
-	resp = post("/v1/jobs", `{"workload":"litmus/SB","por":"sleep"}`)
+	resp = post("/v1/jobs", `{"workload":"litmus/SB","por":"source"}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("submit during drain: %d, want 503", resp.StatusCode)
 	}
 	if ae := decodeEnvelope(t, resp); ae.Code != codeShuttingDown {
 		t.Errorf("drain code = %q", ae.Code)
+	}
+}
+
+// TestHTTPV1RefusesRemovedFields: a submitted spec naming a field this
+// build lacks ("dedup", "dedup_cap") or the retired "sleep" POR mode is
+// refused with the 400 envelope and registers no job, instead of
+// silently running a different job than the one submitted.
+func TestHTTPV1RefusesRemovedFields(t *testing.T) {
+	t.Parallel()
+	srv, m := newTestServer(t)
+	for _, body := range []string{
+		`{"workload":"litmus/SB","dedup":true}`,
+		`{"workload":"litmus/SB","dedup_cap":64}`,
+		`{"workload":"litmus/SB","por":"sleep"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: %d, want 400", body, resp.StatusCode)
+		}
+		if ae := decodeEnvelope(t, resp); ae.Code != codeBadRequest {
+			t.Errorf("POST %s: code = %q, want %q", body, ae.Code, codeBadRequest)
+		}
+	}
+	if views := m.JobViews(); len(views) != 0 {
+		t.Errorf("refused submissions registered %d jobs", len(views))
 	}
 }
 
@@ -311,7 +339,7 @@ func TestHTTPV1LeaseRoundTrip(t *testing.T) {
 func TestFinishedJobSubscribersLeaveNothing(t *testing.T) {
 	t.Parallel()
 	srv, m := newTestServer(t)
-	j, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	j, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "source"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ type JobSpec struct {
 	Budget int `json:"budget,omitempty"`
 	// StaleBias is the random-mode stale-read bias (0 = default 0.4).
 	StaleBias float64 `json:"stale_bias,omitempty"`
-	// POR selects the reduction for exhaustive jobs: "off", "sleep",
-	// "source" ("" = off).
+	// POR selects the reduction for exhaustive jobs: "off" or "source"
+	// ("" = off).
 	POR string `json:"por,omitempty"`
 	// Refine enables the refinement oracle on library workloads.
 	Refine bool `json:"refine,omitempty"`
@@ -73,15 +73,6 @@ type JobSpec struct {
 	KeepGoing bool `json:"keep_going,omitempty"`
 	// MaxFailures is the library early-stop threshold (0 = check default).
 	MaxFailures int `json:"max_failures,omitempty"`
-	// Dedup enables state-space deduplication on exhaustive jobs: runs
-	// reaching a canonical state an earlier run claimed are cut short.
-	// The outcome set and verdict are identical either way; the run
-	// counts and histogram shrink, so — unlike Workers — this knob is
-	// semantic and part of the spec hash.
-	Dedup bool `json:"dedup,omitempty"`
-	// DedupCap bounds the dedup visited set (0 = machine.DefaultDedupCap).
-	// Semantic: evictions change which runs are cut.
-	DedupCap int `json:"dedup_cap,omitempty"`
 
 	// Workers is the exploration worker count for this job (0 = the
 	// server's default). Non-semantic: the result is identical for every
@@ -130,21 +121,9 @@ func (s JobSpec) Normalize() (JobSpec, Workload, error) {
 	if w.Kind == KindLib && s.Budget == 0 {
 		s.Budget = 4000
 	}
-	if s.Dedup && s.Mode != ModeExhaustive {
-		return s, w, fmt.Errorf("workload %s: dedup requires exhaustive mode", s.Workload)
-	}
-	if !s.Dedup && s.DedupCap != 0 {
-		return s, w, fmt.Errorf("workload %s: dedup_cap set without dedup", s.Workload)
-	}
 	if s.Coordinator {
 		if s.Mode != ModeExhaustive {
 			return s, w, fmt.Errorf("workload %s: only exhaustive jobs shard across processes", s.Workload)
-		}
-		if s.Dedup {
-			// The visited set is process-local; per-peer sets would make
-			// the merged histogram depend on the lease partition, breaking
-			// the byte-identity guarantee sharding promises.
-			return s, w, fmt.Errorf("workload %s: dedup and coordinator are mutually exclusive", s.Workload)
 		}
 		if s.MaxRuns != 0 {
 			// A cross-process run bound cannot be enforced without making
@@ -171,8 +150,7 @@ func (s JobSpec) porMode() check.PORMode {
 
 // Hash is the semantic identity of the job: the sha256 of the canonical
 // spec JSON with the non-semantic scheduling knobs (Workers,
-// CheckpointEvery, Coordinator, and the lease tuning) zeroed. Dedup and
-// DedupCap stay in: they change the run counts and histogram. A
+// CheckpointEvery, Coordinator, and the lease tuning) zeroed. A
 // checkpoint is resumable exactly when its recorded hash matches its
 // recorded spec — re-sharding is fine, a drifted workload definition or
 // edited spec is refused as stale.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,8 +96,11 @@ func resultJSON(t *testing.T, v JobView) string {
 // killed at every segment boundary and resumed on alternating worker
 // counts must produce the byte-identical outcome histogram, run count,
 // and Complete verdict of an uninterrupted run — under each POR mode.
+// The sleep subtest checks that source-DPOR's sleep-set counters survive
+// the kills too: the final checkpoint's telemetry counts the skipped
+// branches and sleep-set sizes of an uninterrupted run.
 func TestKillResumeLitmusMatrix(t *testing.T) {
-	for _, por := range []string{"off", "sleep", "source"} {
+	for _, por := range []string{"off", "source"} {
 		por := por
 		t.Run(por, func(t *testing.T) {
 			t.Parallel()
@@ -126,6 +130,47 @@ func TestKillResumeLitmusMatrix(t *testing.T) {
 			}
 		})
 	}
+	t.Run("sleep", func(t *testing.T) {
+		t.Parallel()
+		spec := JobSpec{Workload: "litmus/SB", POR: "source"}
+		sleep := func(e telemetry.ExploreSnapshot) string {
+			return fmt.Sprintf("skipped=%d stale-reads=%d sleep-set-size=%+v",
+				e.PORBranchesSkipped, e.PORStaleReadsSkipped, e.SleepSetSize)
+		}
+		m, err := NewManager(Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := m.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Wait()
+		base := finalSnapshot(t, j).Explore
+		if base.PORBranchesSkipped == 0 {
+			t.Fatalf("sleep sets skipped no branch on SB: %s", sleep(base))
+		}
+
+		dir := t.TempDir()
+		got, cycles := runSegmented(t, dir, spec, 1, []int{1, 4})
+		if cycles < 3 {
+			t.Fatalf("job finished in %d cycles; segment size too large to exercise resume", cycles)
+		}
+		st, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := st.Load(got.ID)
+		if err != nil {
+			t.Fatalf("load final checkpoint: %v", err)
+		}
+		if cp.Telemetry == nil {
+			t.Fatal("final checkpoint has no telemetry snapshot")
+		}
+		if g, w := sleep(cp.Telemetry.Explore), sleep(base); g != w {
+			t.Errorf("sleep-set counters did not survive resume\n got: %s\nwant: %s", g, w)
+		}
+	})
 }
 
 // TestKillResumeExhaustiveLib runs a library workload exhaustively with
@@ -181,7 +226,7 @@ func TestKillResumeRandomLib(t *testing.T) {
 func TestResumeTelemetryContinuity(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	spec := JobSpec{Workload: "litmus/SB", POR: "sleep"}
+	spec := JobSpec{Workload: "litmus/SB", POR: "source"}
 
 	mBase, err := NewManager(Config{Workers: 2})
 	if err != nil {
@@ -263,13 +308,13 @@ func TestFinishedJobKeepsOnlyItsResult(t *testing.T) {
 		}
 		return ""
 	}
-	plain, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep"})
+	plain, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "source"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The split segment finishes the whole tree locally, so no peer is
 	// needed.
-	coord, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "sleep", Coordinator: true})
+	coord, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "source", Coordinator: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,29 +504,20 @@ func TestWorkloadRegistry(t *testing.T) {
 // non-semantic, so re-sharding must not invalidate a checkpoint.
 func TestSpecHashIgnoresScheduling(t *testing.T) {
 	t.Parallel()
-	a := JobSpec{Workload: "litmus/SB", POR: "sleep", Workers: 1, CheckpointEvery: 10}
-	b := JobSpec{Workload: "litmus/SB", POR: "sleep", Workers: 8, CheckpointEvery: 999}
+	a := JobSpec{Workload: "litmus/SB", POR: "source", Workers: 1, CheckpointEvery: 10}
+	b := JobSpec{Workload: "litmus/SB", POR: "source", Workers: 8, CheckpointEvery: 999}
 	if a.Hash() != b.Hash() {
 		t.Error("hash depends on scheduling knobs")
 	}
-	c := JobSpec{Workload: "litmus/SB", POR: "source"}
+	c := JobSpec{Workload: "litmus/SB", POR: "off"}
 	if a.Hash() == c.Hash() {
 		t.Error("hash ignores semantic field POR")
 	}
 	// Sharding knobs are scheduling too: a checkpoint taken by a
 	// coordinator must resume under different lease sizing or none.
-	d := JobSpec{Workload: "litmus/SB", POR: "sleep",
+	d := JobSpec{Workload: "litmus/SB", POR: "source",
 		Coordinator: true, LeaseTTLMillis: 5000, LeasePrefixes: 4}
 	if a.Hash() != d.Hash() {
 		t.Error("hash depends on sharding knobs")
-	}
-	// Dedup changes the execution count the checkpoint carries: semantic.
-	e := JobSpec{Workload: "litmus/SB", POR: "sleep", Dedup: true}
-	if a.Hash() == e.Hash() {
-		t.Error("hash ignores semantic field Dedup")
-	}
-	f := JobSpec{Workload: "litmus/SB", POR: "sleep", Dedup: true, DedupCap: 64}
-	if e.Hash() == f.Hash() {
-		t.Error("hash ignores semantic field DedupCap")
 	}
 }

@@ -429,10 +429,7 @@ func TestShardSpecValidation(t *testing.T) {
 	}
 	cases := []JobSpec{
 		{Workload: "lib/msqueue", Mode: ModeRandom, Coordinator: true},
-		{Workload: "litmus/SB", Coordinator: true, Dedup: true},
 		{Workload: "litmus/SB", Coordinator: true, MaxRuns: 100},
-		{Workload: "lib/msqueue", Mode: ModeRandom, Dedup: true},
-		{Workload: "litmus/SB", DedupCap: 100},
 	}
 	for _, sp := range cases {
 		if _, err := m.Submit(sp); err == nil {
@@ -457,41 +454,5 @@ func TestSubmitDuringShutdownRefused(t *testing.T) {
 	m.Shutdown()
 	if _, err := m.Submit(JobSpec{Workload: "litmus/SB", POR: "source"}); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("Submit during drain: err = %v, want ErrShuttingDown", err)
-	}
-}
-
-// TestKillResumeDedup extends the kill/resume matrix to dedup jobs: the
-// visited set serializes into every checkpoint, so a job segmented
-// across kills cuts exactly the duplicate states an uninterrupted run
-// cuts — byte-identical result, same (reduced) run count.
-func TestKillResumeDedup(t *testing.T) {
-	for _, por := range []string{"off", "sleep", "source"} {
-		por := por
-		t.Run(por, func(t *testing.T) {
-			t.Parallel()
-			spec := JobSpec{Workload: "litmus/SB", POR: por, Dedup: true}
-			plain := baseline(t, JobSpec{Workload: "litmus/SB", POR: por}, 1)
-			want := baseline(t, spec, 1)
-			if want.Runs > plain.Runs {
-				t.Errorf("dedup ran more executions than plain: %d > %d", want.Runs, plain.Runs)
-			}
-			every := 3
-			if por == "source" {
-				every = 1
-			}
-			got, cycles := runSegmented(t, t.TempDir(), spec, every, []int{1, 1})
-			if cycles < 3 {
-				t.Fatalf("job finished in %d cycles; segment size too large to exercise resume", cycles)
-			}
-			if got.Status != StatusDone {
-				t.Fatalf("status %s (err %q), want done", got.Status, got.Error)
-			}
-			if g, w := resultJSON(t, got), resultJSON(t, want); g != w {
-				t.Errorf("segmented dedup result diverged\n got: %s\nwant: %s", g, w)
-			}
-			if got.Runs != want.Runs {
-				t.Errorf("runs = %d, want %d", got.Runs, want.Runs)
-			}
-		})
 	}
 }
