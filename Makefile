@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check lint fmt build vet test race perfbench bench benchreport fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
+.PHONY: check lint fmt build vet test race perfbench bench fuzz fuzznative golden telemetry serve servesmoke shardsmoke plan
 
 check: lint build race perfbench
 
@@ -65,7 +65,7 @@ golden:
 # Telemetry artifact smoke: emit stats + Chrome trace from a litmus run
 # and validate both against their schemas (what CI's telemetry job does).
 telemetry:
-	$(GO) run ./cmd/litmus -test SB -por=source -prune -plan -stats /tmp/compass_sb.json -trace-out /tmp/compass_sb.trace.json
+	$(GO) run ./cmd/litmus -test SB -por=source -plan -stats /tmp/compass_sb.json -trace-out /tmp/compass_sb.trace.json
 	$(GO) run ./cmd/statcheck -snapshot /tmp/compass_sb.json -trace /tmp/compass_sb.trace.json
 
 # Regenerate the committed static access-plan fixture from the suite
@@ -98,12 +98,9 @@ servesmoke:
 shardsmoke:
 	$(GO) test ./internal/serve -run 'TestShard|TestHTTP|TestSubmitDuringShutdown' -count=1 -v
 
-# Quick benchmark pass over the tier-1 set (see cmd/benchreport), plus
-# the logical-view joins, lib/deque's bytes and allocations per
-# exhaustive execution, and the library corpus's per random execution.
+# Quick microbenchmark pass: view cloning, release writes, the T1 effort
+# table, exhaustive MP, the logical-view joins, lib/deque's bytes and
+# allocations per exhaustive execution, and the library corpus's per
+# random execution. End-to-end performance claims come from perfbench.
 bench:
 	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive|RandomLibraryChecks' -benchmem . ./internal/view ./internal/memory
-
-# Full tier-1 snapshot written to BENCH_<date>.json.
-benchreport:
-	$(GO) run ./cmd/benchreport

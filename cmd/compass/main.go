@@ -78,8 +78,7 @@ func main() {
 	explain := flag.Int64("explain", -1, "replay this seed with a per-step trace instead of running the harness")
 	exhaustive := flag.Bool("exhaustive", false, "explore all executions (small workloads only)")
 	por := flag.String("por", "off", "with -exhaustive: partial-order reduction — off|source (source-DPOR: sleep sets, dynamic race reversal and wakeup read floors); outcome sets are identical in both modes, far fewer executions under source")
-	prune := flag.Bool("prune", false, "extract a footprint certificate from one recording execution and prune race instrumentation and read windows (outcomes are identical)")
-	planOn := flag.Bool("plan", false, "consult the committed static access plan for the workload: gate the footprint certificate against it and, with -exhaustive -por=source, sharpen conflict detection (outcomes are identical)")
+	planOn := flag.Bool("plan", false, "with -exhaustive -por=source: consult the committed static access plan for the workload to sharpen source-DPOR conflict detection (outcomes are identical)")
 	statsOut := flag.String("stats", "", "write a telemetry JSON snapshot of the run to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace of a representative execution to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -89,6 +88,16 @@ func main() {
 	porMode, err := compass.ParsePORMode(*por)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "compass: -por: %v\n", err)
+		os.Exit(2)
+	}
+	// Refused before -explain can return early: a replay of one seed
+	// has no schedule tree either.
+	if porMode != compass.POROff && !*exhaustive {
+		fmt.Fprintln(os.Stderr, "-por requires -exhaustive (random sampling has no schedule tree to reduce)")
+		os.Exit(2)
+	}
+	if *planOn && !(*exhaustive && porMode == compass.PORSource) {
+		fmt.Fprintln(os.Stderr, "-plan requires -exhaustive -por=source (only source-DPOR consults a plan)")
 		os.Exit(2)
 	}
 	compass.OnPORFallback(func(threads int) {
@@ -188,13 +197,6 @@ func main() {
 		return
 	}
 
-	var fp *compass.Footprint
-	if *prune {
-		var err error
-		if fp, err = compass.ExtractFootprint(func() compass.Program { return build().Prog }); err != nil {
-			fmt.Fprintf(os.Stderr, "footprint extraction failed, running unpruned: %v\n", err)
-		}
-	}
 	var pl *compass.Plan
 	if *planOn {
 		if *lib != "" {
@@ -202,31 +204,15 @@ func main() {
 		}
 		if pl == nil {
 			fmt.Fprintf(os.Stderr, "no committed static plan for %s; running without one\n", name)
-		} else if err := compass.GateFootprint(fp, pl, len(build().Prog.Workers)+1); err != nil {
-			fmt.Fprintf(os.Stderr, "certificate refused, running unpruned: %v\n", err)
-			fp = nil
-			stats.CertRefused()
 		}
 	}
-	// The gate matches the certificate's extracted program name against
-	// the plan's; the workload display name goes on afterward, and only
-	// admitted certificates are announced.
-	if fp != nil {
-		fp.Name = name
-		fmt.Println(fp)
-	}
-	opts.Footprint = fp
-	opts.Plan = pl
 
 	if *exhaustive {
 		opts = compass.CheckOptions{
 			Mode: compass.ModeExhaustive, MaxRuns: 500000, Budget: 5000,
-			KeepGoing: *keepGoing, Workers: *workers, Stats: stats, Footprint: fp, POR: porMode,
+			KeepGoing: *keepGoing, Workers: *workers, Stats: stats, POR: porMode,
 			Refine: *refineOn, Plan: pl,
 		}
-	} else if porMode != compass.POROff {
-		fmt.Fprintln(os.Stderr, "-por requires -exhaustive (random sampling has no schedule tree to reduce)")
-		os.Exit(2)
 	}
 	rep := compass.RunChecked(name, build, opts)
 	fmt.Println(rep)

@@ -22,8 +22,7 @@ func main() {
 	name := flag.String("test", "", "run only the named test (e.g. MP+rel+acq, SB, LB)")
 	maxRuns := flag.Int("max-runs", 400000, "exploration bound per test")
 	workers := flag.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS)")
-	prune := flag.Bool("prune", false, "extract a footprint certificate per test and prune race instrumentation and read windows (outcomes are identical)")
-	plan := flag.Bool("plan", false, "consult the committed static access plan per test: gate footprint certificates against it and sharpen source-DPOR conflict detection (outcomes are identical)")
+	plan := flag.Bool("plan", false, "with -por=source: consult the committed static access plan per test to sharpen source-DPOR conflict detection (outcomes are identical)")
 	por := flag.String("por", "off", "partial-order reduction: off|source (source-DPOR: sleep sets, dynamic race reversal and wakeup read floors); outcome sets are identical in both modes, far fewer executions under source")
 	refine := flag.Bool("refine", false, "also run the library refinement corpus: each library workload is explored exhaustively with the refinement/simulation oracle judging every execution against the abstract transition system")
 	statsOut := flag.String("stats", "", "write a telemetry JSON snapshot of the exploration to this file")
@@ -35,6 +34,10 @@ func main() {
 	porMode, err := compass.ParsePORMode(*por)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "litmus: -por: %v\n", err)
+		os.Exit(2)
+	}
+	if *plan && porMode != compass.PORSource {
+		fmt.Fprintln(os.Stderr, "litmus: -plan requires -por=source (only source-DPOR consults a plan)")
 		os.Exit(2)
 	}
 	compass.OnPORFallback(func(threads int) {
@@ -52,31 +55,15 @@ func main() {
 			continue
 		}
 		ran++
-		var fp *compass.Footprint
-		if *prune {
-			var err error
-			if fp, err = compass.ExtractFootprint(t.Build); err != nil {
-				fmt.Fprintf(os.Stderr, "litmus: %s: footprint extraction failed, exploring unpruned: %v\n", t.Name, err)
-			}
-		}
 		var pl *compass.Plan
 		if *plan {
-			pl = compass.PlanFor(t.Name)
-			if pl == nil {
+			if pl = compass.PlanFor(t.Name); pl == nil {
 				fmt.Fprintf(os.Stderr, "litmus: %s: no committed static plan; run `make plan`\n", t.Name)
-			} else if err := compass.GateFootprint(fp, pl, len(t.Build().Workers)+1); err != nil {
-				fmt.Fprintf(os.Stderr, "litmus: %s: certificate refused, exploring unpruned: %v\n", t.Name, err)
-				fp = nil
-				stats.CertRefused()
 			}
-		}
-		if fp != nil {
-			fp.Name = t.Name
-			fmt.Println(fp)
 		}
 		res := compass.RunLitmus(t, *maxRuns,
 			compass.WithWorkers(*workers), compass.WithStats(stats),
-			compass.WithFootprint(fp), compass.WithPORMode(porMode), compass.WithPlan(pl))
+			compass.WithPORMode(porMode), compass.WithPlan(pl))
 		fmt.Println(res)
 		fmt.Println()
 		if !res.OK() {
@@ -96,31 +83,15 @@ func main() {
 				continue
 			}
 			ran++
-			var fp *compass.Footprint
-			if *prune && !lt.SkipPrune {
-				var err error
-				if fp, err = compass.ExtractLibFootprint(lt); err != nil {
-					fmt.Fprintf(os.Stderr, "litmus: %s: footprint extraction failed, exploring unpruned: %v\n", lt.Name, err)
-				}
-			}
 			var pl *compass.Plan
 			if *plan {
-				pl = compass.PlanFor(lt.Name)
-				if pl == nil {
+				if pl = compass.PlanFor(lt.Name); pl == nil {
 					fmt.Fprintf(os.Stderr, "litmus: %s: no committed static plan; run `make plan`\n", lt.Name)
-				} else if err := compass.GateFootprint(fp, pl, len(lt.Build().Prog.Workers)+1); err != nil {
-					fmt.Fprintf(os.Stderr, "litmus: %s: certificate refused, exploring unpruned: %v\n", lt.Name, err)
-					fp = nil
-					stats.CertRefused()
 				}
-			}
-			if fp != nil {
-				fp.Name = lt.Name
-				fmt.Println(fp)
 			}
 			res := compass.RunLibRefinement(lt, 600000,
 				compass.WithWorkers(*workers), compass.WithStats(stats),
-				compass.WithFootprint(fp), compass.WithPORMode(porMode), compass.WithPlan(pl))
+				compass.WithPORMode(porMode), compass.WithPlan(pl))
 			fmt.Println(res)
 			fmt.Println()
 			if !res.OK() {

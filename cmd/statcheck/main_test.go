@@ -217,14 +217,15 @@ func TestServeCountersValidate(t *testing.T) {
 }
 
 // TestPlanCountersValidate pins forward acceptance of the static
-// access-plan telemetry as a fixture: the checked-in snapshot was
-// written by a `litmus -por=source -prune -plan -refine -stats` run and
-// carries nonzero plan_sites, plan_checks, plan_conflicts_refuted
-// (explore section), and cert_refusals (machine section; the ⊤ library
-// plans veto the extracted exclusivity certificates) — still the
-// unchanged compass/telemetry/v1 schema. If a future schema revision
-// stops accepting these fields, this catches it even after the writer
-// moves on.
+// access-plan telemetry as a fixture. The checked-in snapshot is
+// historical: it was written by a `litmus -por=source -prune -plan
+// -refine -stats` run while footprint certificates existed, and carries
+// nonzero plan_sites, plan_checks, plan_conflicts_refuted (explore
+// section) and cert_refusals (machine section; the ⊤ library plans
+// vetoed the extracted exclusivity certificates). Today's writer leaves
+// cert_refusals at 0, so the fixture proves that files written before
+// certificates were retired still validate under the unchanged
+// compass/telemetry/v1 schema. Do not regenerate it.
 func TestPlanCountersValidate(t *testing.T) {
 	path := filepath.Join("testdata", "v1_plan_snapshot.json")
 	var out, errw strings.Builder
@@ -239,12 +240,12 @@ func TestPlanCountersValidate(t *testing.T) {
 		"plan_sites", "plan_checks", "plan_conflicts_refuted", "cert_refusals",
 	} {
 		if !strings.Contains(string(data), field) {
-			t.Errorf("fixture does not exercise %q — regenerate it from a -plan run", field)
+			t.Errorf("historical fixture lost %q — restore it from version control, do not regenerate it", field)
 		}
 	}
 	for _, zero := range []string{`"plan_conflicts_refuted": 0`, `"cert_refusals": 0`} {
 		if strings.Contains(string(data), zero) {
-			t.Errorf("fixture carries %s — regenerate it from a `-por=source -prune -plan -refine` run", zero)
+			t.Errorf("historical fixture carries %s — restore it from version control, do not regenerate it", zero)
 		}
 	}
 }

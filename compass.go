@@ -40,7 +40,6 @@
 package compass
 
 import (
-	"compass/internal/analysis/footprint"
 	"compass/internal/analysis/staticplan"
 	"compass/internal/check"
 	"compass/internal/core"
@@ -479,10 +478,6 @@ func WithWorkers(n int) LitmusOption { return litmus.WithWorkers(n) }
 // disables recording).
 func WithStats(stats *Telemetry) LitmusOption { return litmus.WithStats(stats) }
 
-// WithFootprint installs a footprint certificate (nil disables pruning);
-// the outcome histogram is identical with or without a valid certificate.
-func WithFootprint(fp *Footprint) LitmusOption { return litmus.WithFootprint(fp) }
-
 // WithPORMode selects the partial-order reduction mode: POROff (the
 // default) or PORSource. Source-DPOR reverses only dynamically observed
 // races and prunes stale read-value branches through wakeup read floors;
@@ -515,15 +510,14 @@ func OnPORFallback(f func(threads int)) { machine.SetPORFallbackWarn(f) }
 func LitmusSuite() []LitmusTest { return litmus.Suite() }
 
 // LitmusFootprintSuite returns the footprint-rich exploration workloads:
-// programs whose locations earn non-trivial certificates (read-only
-// config, thread-exclusive state). They are not part of LitmusSuite —
-// the golden corpus pins that — but share its exploration harness;
-// cmd/benchreport sweeps them to measure pruning effectiveness.
+// programs mixing read-only config, thread-exclusive state and a
+// contended flag. They are not part of LitmusSuite — the golden corpus
+// pins that — but share its exploration harness.
 func LitmusFootprintSuite() []LitmusTest { return litmus.FootprintSuite() }
 
 // RunLitmus explores a litmus test exhaustively; options (WithWorkers,
-// WithStats, WithFootprint, WithPORMode, WithPlan) modify the
-// exploration. With no options it keeps its historical meaning: all
+// WithStats, WithPORMode, WithPlan) modify the exploration. With no
+// options it keeps its historical meaning: all
 // GOMAXPROCS workers, nothing else.
 func RunLitmus(t LitmusTest, maxRuns int, opts ...LitmusOption) *LitmusResult {
 	return litmus.Run(t, maxRuns, opts...)
@@ -550,41 +544,9 @@ func RunLibRefinement(t LibTest, maxRuns int, opts ...LitmusOption) *LibResult {
 	return litmus.RunLib(t, maxRuns, opts...)
 }
 
-// ExtractLibFootprint derives a footprint certificate from one recording
-// execution of a library workload's program.
-func ExtractLibFootprint(t LibTest) (*Footprint, error) { return litmus.LibFootprint(t) }
-
 // TraceLitmus replays a litmus test's default schedule with step-event
 // recording, for Chrome trace export.
 func TraceLitmus(t LitmusTest) *ExecResult { return litmus.TraceTest(t) }
-
-// --- Footprint certificates (static-ish exploration pruning). ---
-
-type (
-	// Footprint is a location-footprint certificate: a per-location
-	// classification (exclusive / read-only / shared) extracted from one
-	// recording execution and enforced — not trusted — by the machine.
-	// Certified locations skip race instrumentation and read-window
-	// computation without changing any outcome.
-	Footprint = memory.Footprint
-	// LocCert is one location's certificate within a Footprint.
-	LocCert = memory.LocCert
-	// LocClass classifies a location's post-setup access pattern.
-	LocClass = memory.LocClass
-)
-
-// Location certificate classes.
-const (
-	LocShared    = memory.ClassShared
-	LocExclusive = memory.ClassExclusive
-	LocReadOnly  = memory.ClassReadOnly
-)
-
-// ExtractFootprint derives a footprint certificate from one recording
-// execution of the program (see internal/analysis/footprint).
-func ExtractFootprint(build func() Program) (*Footprint, error) {
-	return footprint.Extract(build)
-}
 
 // --- Static access plans (source-level may-analysis). ---
 
@@ -604,18 +566,3 @@ func PlanFor(name string) *Plan { return staticplan.PlanFor(name) }
 // refute conservative dependence verdicts; outcome sets and verdicts are
 // identical with or without it.
 func WithPlan(p *Plan) LitmusOption { return litmus.WithPlan(p) }
-
-// GateFootprint checks a dynamic footprint certificate against a static
-// access plan before exploration: a certificate claim the plan
-// contradicts (exclusivity another thread may violate, read-only a
-// thread may write, all-atomic with non-atomic accesses in a plan) is
-// refused up front instead of aborting mid-exploration. threads is the
-// machine's thread count (workers + main). A nil error admits the
-// certificate; callers refusing a certificate should explore unpruned
-// and record Telemetry.CertRefused.
-func GateFootprint(fp *Footprint, plan *Plan, threads int) error {
-	if ce := footprint.Gate(fp, plan, threads); ce != nil {
-		return ce
-	}
-	return nil
-}

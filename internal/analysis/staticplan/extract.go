@@ -24,8 +24,8 @@ import (
 //     locations through simulated memory (node tables indexed by values
 //     read back from cells), which no static tracking of view.Loc flow
 //     can follow. The ⊤ verdict still buys the kind-based Refutes
-//     refutations and makes the certificate gate refuse any
-//     exclusivity/read-only claim, both of which are the sound answers.
+//     refutations, and answering "may touch anything" is the sound
+//     answer.
 
 // PlanSuiteDirective marks suite functions whose entries get plans.
 const PlanSuiteDirective = "plan-suite"

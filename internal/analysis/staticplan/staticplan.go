@@ -23,10 +23,9 @@
 // that cannot be resolved to source, obtained through an interface whose
 // dynamic type is unknown, or allocated under a non-constant name — the
 // thread's plan collapses to ⊤ ("may touch anything") with a reason.
-// ⊤ is a verdict, not an error: consumers (the certificate gate and the
-// POR oracle in internal/memory/plan.go) treat ⊤ threads as able to
-// touch every site, so an imprecise analysis can cost pruning but never
-// soundness.
+// ⊤ is a verdict, not an error: the consumer (the POR oracle in
+// internal/memory/plan.go) treats ⊤ threads as able to touch every site,
+// so an imprecise analysis can cost pruning but never soundness.
 //
 // Thread numbering matches the machine: plan thread 0 is the main
 // thread's final phase only — setup runs before any concurrency exists,

@@ -60,19 +60,14 @@ func TestDirectPlan(t *testing.T) {
 	wantSite(t, &p.Threads[1], "x", memory.PlanWrite, 0, memory.ModeBit(memory.Rel))
 	wantSite(t, &p.Threads[1], "y", memory.PlanRead, memory.ModeBit(memory.Rlx), 0)
 	wantSite(t, &p.Threads[2], "y", memory.PlanWrite, 0, memory.ModeBit(memory.Rlx))
-	if len(p.Threads[2].Sites) != 1 {
-		t.Errorf("worker 1 sites = %v, want only y", p.Threads[2].Sites)
-	}
-	// The final phase is plan thread 0, and its NA read makes the thread
-	// (and only that thread) non-atomic.
+	// The final phase is plan thread 0, and its NA read is the only NA
+	// mode in the plan.
 	wantSite(t, &p.Threads[0], "x", memory.PlanRead, memory.ModeBit(memory.NA), 0)
-	if !p.Threads[0].UsesNA() || p.Threads[1].UsesNA() || p.Threads[2].UsesNA() {
-		t.Errorf("UsesNA = %v/%v/%v, want true/false/false",
-			p.Threads[0].UsesNA(), p.Threads[1].UsesNA(), p.Threads[2].UsesNA())
-	}
-	for i := range p.Threads {
-		if p.Threads[i].Allocates() {
-			t.Errorf("thread %d Allocates, but all allocation is in setup", i)
+	// Those are all the sites, so no thread allocates (all allocation is
+	// in setup) and no worker accesses non-atomically.
+	for i, want := range []int{1, 2, 1} {
+		if got := len(p.Threads[i].Sites); got != want {
+			t.Errorf("thread %d sites = %v, want %d", i, p.Threads[i].Sites, want)
 		}
 	}
 }
@@ -95,8 +90,8 @@ func TestWorkerAlloc(t *testing.T) {
 	}
 	wantSite(t, &p.Threads[1], "scratch",
 		memory.PlanAlloc|memory.PlanWrite|memory.PlanFree, 0, memory.ModeBit(memory.Rlx))
-	if !p.Threads[1].Allocates() {
-		t.Error("worker allocates but Allocates() = false")
+	if !p.Threads[1].MayTouch("scratch", memory.PlanAlloc) {
+		t.Error("worker allocates but MayTouch(scratch, PlanAlloc) = false")
 	}
 }
 
@@ -124,7 +119,7 @@ func TestEscapeIsTop(t *testing.T) {
 		t.Errorf("⊤ reason = %q, want mention of memory-held value", tp.TopReason)
 	}
 	// ⊤ answers every may-question conservatively.
-	if !tp.MayTouch("anything", memory.PlanRead) || !tp.UsesNA() || !tp.Allocates() {
+	if !tp.MayTouch("anything", memory.PlanRead) || !tp.MayTouch("anything", memory.PlanAlloc) {
 		t.Error("⊤ thread must over-approximate everything")
 	}
 }

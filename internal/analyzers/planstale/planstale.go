@@ -5,7 +5,7 @@
 // staticplan.Marshal rendering of the current sources; the pass
 // re-extracts and byte-compares, so a workload edit that silently
 // changes its access plan fails lint until `make plan` refreshes the
-// fixture the certificate gate and POR oracle consume.
+// fixture the POR oracle consumes.
 package planstale
 
 import (

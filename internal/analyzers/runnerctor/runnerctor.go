@@ -43,7 +43,7 @@ var policed = map[string]struct {
 	},
 	"ExploreOpts": {
 		directive: "explore-ctor",
-		message:   "machine.ExploreOpts constructed directly: go through check.Options.ExploreOpts so MaxRuns/Workers/Stats/Footprint/POR plumbing stays uniform (sanctioned constructors carry //compass:explore-ctor)",
+		message:   "machine.ExploreOpts constructed directly: go through check.Options.ExploreOpts so MaxRuns/Workers/Stats/POR/Plan plumbing stays uniform (sanctioned constructors carry //compass:explore-ctor)",
 	},
 }
 

@@ -154,11 +154,6 @@ type Options struct {
 	// overshoot an early stop) plus step-level machine counters. The
 	// final Report carries a Snapshot of it.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is a location-footprint certificate
-	// (extracted by internal/analysis/footprint) installed into every
-	// execution: certified locations skip race instrumentation and
-	// read-window computation, without changing any outcome.
-	Footprint *memory.Footprint
 	// Refine enables the refinement oracle: each OK execution with a
 	// Checked.Refine checker is additionally judged by forward
 	// simulation against the library's abstract transition system, in
@@ -269,13 +264,13 @@ func (o Options) withDefaults() Options {
 //
 //compass:runner-ctor
 func (o Options) Runner(trace bool) *machine.Runner {
-	return &machine.Runner{Budget: o.Budget, Trace: trace, Stats: o.Stats, Footprint: o.Footprint, Plan: o.Plan}
+	return &machine.Runner{Budget: o.Budget, Trace: trace, Stats: o.Stats, Plan: o.Plan}
 }
 
 // ExploreOpts builds the machine exploration options for a harness-level
 // Options. All machine.ExploreOpts construction outside the machine
 // package goes through here (enforced by the runnerctor analyzer) so
-// MaxRuns/Budget/Workers/Stats/Footprint/POR plumbing cannot drift
+// MaxRuns/Budget/Workers/Stats/POR/Plan plumbing cannot drift
 // between the check and litmus exhaustive paths. It maps fields verbatim
 // — zero values defer to the machine defaults — so callers that want the
 // check defaults normalize with withDefaults first.
@@ -283,13 +278,12 @@ func (o Options) Runner(trace bool) *machine.Runner {
 //compass:explore-ctor
 func (o Options) ExploreOpts() machine.ExploreOpts {
 	return machine.ExploreOpts{
-		MaxRuns:   o.MaxRuns,
-		Budget:    o.Budget,
-		Workers:   o.Workers,
-		Stats:     o.Stats,
-		Footprint: o.Footprint,
-		POR:       o.POR,
-		Plan:      o.Plan,
+		MaxRuns: o.MaxRuns,
+		Budget:  o.Budget,
+		Workers: o.Workers,
+		Stats:   o.Stats,
+		POR:     o.POR,
+		Plan:    o.Plan,
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 )
 
 // FootprintSuite returns exploration workloads (NOT part of Suite — the
-// golden corpus pins that) whose locations actually earn footprint
-// certificates: read-only configuration, thread-exclusive scratch state,
-// and a shared flag that keeps the exploration branching. The equivalence
-// test runs them alongside the suite, and cmd/benchreport sweeps them to
-// measure how much per-access work pruning removes.
+// golden corpus pins that) with footprints the suite lacks: read-only
+// configuration, thread-exclusive scratch state (non-atomic counters
+// included), and a shared flag that keeps the exploration branching. The
+// POR and plan equivalence tests run them alongside the suite.
 //
 //compass:plan-suite
 func FootprintSuite() []Test {

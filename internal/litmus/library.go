@@ -12,12 +12,10 @@ import (
 	"sort"
 	"strings"
 
-	"compass/internal/analysis/footprint"
 	"compass/internal/check"
 	"compass/internal/deque"
 	"compass/internal/exchanger"
 	"compass/internal/machine"
-	"compass/internal/memory"
 	"compass/internal/queue"
 	"compass/internal/spec"
 	"compass/internal/stack"
@@ -36,13 +34,6 @@ type LibTest struct {
 	// the golden corpus sweeps them under source-DPOR only, the same
 	// precedent as the STAR5 litmus test.
 	SkipPOROff bool
-	// SkipPrune marks instances whose sharing is schedule-dependent: a
-	// footprint certificate extracted from one recording execution can
-	// certify a location exclusive that other schedules share (the
-	// thief's read of d.item on a successful steal), and the harness's
-	// dynamic certificate check rightly rejects those executions. Such
-	// instances run unpruned.
-	SkipPrune bool
 }
 
 // Modes returns the POR modes the golden corpus sweeps for this test.
@@ -120,7 +111,7 @@ func (r *LibResult) GoldenLine() string {
 
 // RunLib explores the workload exhaustively with the refinement oracle
 // enabled and evaluates the cross-oracle verdict. Options are the litmus
-// options: workers, telemetry, footprint certificate, POR mode.
+// options: workers, telemetry, POR mode, plan.
 func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	var cfg config
 	for _, o := range opts {
@@ -129,7 +120,7 @@ func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	rep := check.Run(t.Name, t.Build, check.Options{
 		Mode: check.ModeExhaustive, MaxRuns: maxRuns, Budget: 4000,
 		KeepGoing: true, Refine: true, Workers: cfg.workers, Stats: cfg.stats,
-		Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan,
+		POR: cfg.por, Plan: cfg.plan,
 	})
 	res := &LibResult{
 		Test:          t,
@@ -151,14 +142,6 @@ func RunLib(t LibTest, maxRuns int, opts ...Option) *LibResult {
 	}
 	sort.Strings(res.Rules)
 	return res
-}
-
-// LibFootprint extracts a footprint certificate from one recording
-// execution of the workload, for pruned exploration (see
-// internal/analysis/footprint). The refinement verdict is identical with
-// or without a valid certificate, which the golden corpus asserts.
-func LibFootprint(t LibTest) (*memory.Footprint, error) {
-	return footprint.Extract(func() machine.Program { return t.Build().Prog })
 }
 
 // LibrarySuite returns the library workloads of the refinement corpus.
@@ -203,7 +186,6 @@ func LibrarySuite() []LibTest {
 				return deque.New(th, "d", 8)
 			}, spec.LevelHB, 2, 1, 1),
 			SkipPOROff: true,
-			SkipPrune:  true,
 		},
 		{
 			Name: "lib/exchanger",

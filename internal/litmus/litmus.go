@@ -100,14 +100,13 @@ func outcomeKey(o map[string]int64) string {
 
 // Option configures one exhaustive litmus exploration. The zero
 // configuration (no options) explores across GOMAXPROCS workers with no
-// telemetry, no footprint certificate, and no partial-order reduction.
+// telemetry, no partial-order reduction and no plan.
 type Option func(*config)
 
 // config is the resolved option set of one Run call.
 type config struct {
 	workers int
 	stats   *telemetry.Stats
-	fp      *memory.Footprint
 	por     check.PORMode
 	plan    *memory.Plan
 }
@@ -124,14 +123,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 // Discarded — litmus accounts budget-exhausted executions the same way
 // the check harness does.
 func WithStats(stats *telemetry.Stats) Option { return func(c *config) { c.stats = stats } }
-
-// WithFootprint installs a footprint certificate (see
-// internal/analysis/footprint): certified locations skip race
-// instrumentation and read-window computation. The outcome histogram is
-// identical with or without a valid certificate — pruning removes
-// per-access work, never decision-tree branches — which the equivalence
-// test in this package asserts bit-for-bit over the whole suite.
-func WithFootprint(fp *memory.Footprint) Option { return func(c *config) { c.fp = fp } }
 
 // WithPlan installs a static access plan (see
 // internal/analysis/staticplan) consulted by source-DPOR: provably
@@ -208,7 +199,7 @@ func (s *JobState) RunSegment(t Test, maxRuns, pauseRuns int, opts ...Option) bo
 	if maxRuns <= 0 {
 		maxRuns = check.DefaultMaxRuns
 	}
-	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, Footprint: cfg.fp, POR: cfg.por, Plan: cfg.plan}.ExploreOpts()
+	eo := check.Options{MaxRuns: maxRuns, Workers: cfg.workers, Stats: cfg.stats, POR: cfg.por, Plan: cfg.plan}.ExploreOpts()
 	eo.Resume = s.Frontier
 	eo.PauseRuns = pauseRuns
 	// The explorer bounds one call; the job bound spans segments.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"compass/internal/analysis/footprint"
 	"compass/internal/check"
 	"compass/internal/telemetry"
 )
@@ -33,12 +32,12 @@ func outcomeKeySet(r *Result) []string {
 	return keys
 }
 
-// TestPOREquivalence is the soundness gate for partial-order reduction,
-// modeled on TestFootprintEquivalence but asserting the weaker (and
-// correct) invariant: for every litmus test in the suite plus the
-// footprint-rich workloads, exhaustive exploration under source-DPOR
-// must produce the identical outcome *set* — and therefore the identical
-// verdict — as exploration without reduction, with no more runs.
+// TestPOREquivalence is the soundness gate for partial-order reduction:
+// for every litmus test in the suite plus the FootprintSuite workloads,
+// exhaustive exploration under source-DPOR must produce the identical
+// outcome *set* — and therefore the identical verdict — as exploration
+// without reduction, with no more runs. (Histogram counts are not
+// preserved; see outcomeKeySet.)
 func TestPOREquivalence(t *testing.T) {
 	tests := append(Suite(), FootprintSuite()...)
 	for _, tc := range tests {
@@ -151,34 +150,30 @@ func TestSTAR5ExhaustiveUnderSource(t *testing.T) {
 	t.Logf("STAR5: plain=%d source=%d", plain.Runs, source.Runs)
 }
 
-// TestPORComposesWithFootprintAndWorkers exercises the full stack at
-// once: source-DPOR plus a footprint certificate plus parallel subtree
-// exploration must visit exactly the runs the serial POR exploration
-// does and observe the same outcome set (the source subtests), and its
-// sleep sets must skip exactly the branches, and reach exactly the
-// sizes, they do serially (the sleep subtests). This doubles as the
-// purity gate — wakes and read floors must be a function of the decision
-// prefix alone, or the pinned-prefix parallel explorer would produce a
-// different tree.
+// TestPORComposesWithFootprintAndWorkers runs the suite and the
+// FootprintSuite workloads under source-DPOR serially and across 4
+// workers: parallel subtree exploration must visit exactly the runs the
+// serial POR exploration does and observe the same outcome set (the
+// source subtests), and its sleep sets must skip exactly the branches,
+// and reach exactly the sizes, they do serially (the sleep subtests).
+// This doubles as the purity gate — wakes and read floors must be a
+// function of the decision prefix alone, or the pinned-prefix parallel
+// explorer would produce a different tree.
 func TestPORComposesWithFootprintAndWorkers(t *testing.T) {
 	tests := append(Suite(), FootprintSuite()...)
 	for _, tc := range tests {
 		tc := tc
 		// stack runs tc serially and stacked, recording into the given
 		// sinks (nil disables).
-		stack := func(t *testing.T, serialStats, stackedStats *telemetry.Stats) (serial, stacked *Result) {
-			fp, err := footprint.Extract(tc.Build)
-			if err != nil {
-				t.Fatalf("extracting footprint: %v", err)
-			}
+		stack := func(serialStats, stackedStats *telemetry.Stats) (serial, stacked *Result) {
 			serial = Run(tc, 0, WithWorkers(1), WithPORMode(check.PORSource), WithStats(serialStats))
-			stacked = Run(tc, 0, WithWorkers(4), WithPORMode(check.PORSource), WithFootprint(fp), WithStats(stackedStats))
+			stacked = Run(tc, 0, WithWorkers(4), WithPORMode(check.PORSource), WithStats(stackedStats))
 			return serial, stacked
 		}
 		t.Run(tc.Name+"/sleep", func(t *testing.T) {
 			t.Parallel()
 			serial, stacked := telemetry.New(), telemetry.New()
-			stack(t, serial, stacked)
+			stack(serial, stacked)
 			if got, want := sleepCounters(stacked), sleepCounters(serial); got != want {
 				t.Errorf("sleep-set counters diverged:\nserial:  %s\nstacked: %s", want, got)
 			}
@@ -188,9 +183,9 @@ func TestPORComposesWithFootprintAndWorkers(t *testing.T) {
 		})
 		t.Run(tc.Name+"/source", func(t *testing.T) {
 			t.Parallel()
-			serial, stacked := stack(t, nil, nil)
+			serial, stacked := stack(nil, nil)
 			if stacked.Runs != serial.Runs {
-				t.Errorf("runs diverged: serial POR %d, POR+footprint+workers %d", serial.Runs, stacked.Runs)
+				t.Errorf("runs diverged: serial POR %d, POR+workers %d", serial.Runs, stacked.Runs)
 			}
 			if !reflect.DeepEqual(outcomeKeySet(serial), outcomeKeySet(stacked)) {
 				t.Errorf("outcome sets diverged:\nserial:  %v\nstacked: %v",

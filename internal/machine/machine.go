@@ -128,7 +128,7 @@ type Strategy interface {
 }
 
 // abort is the panic payload that ends the execution from inside a thread
-// (a race, a footprint violation, Failf).
+// (a race, Failf).
 type abort struct {
 	status Status
 	err    error
@@ -138,17 +138,6 @@ type abort struct {
 type killed struct{}
 
 var errBudget = errors.New("step budget exhausted")
-
-// accessAbort classifies a memory-access error: footprint-certificate
-// violations are harness failures (the recording pre-pass under-covered
-// the program — Failed), everything else is undefined behaviour (Racy).
-func accessAbort(err error) abort {
-	var ce *memory.CertError
-	if errors.As(err, &ce) {
-		return abort{status: Failed, err: err}
-	}
-	return abort{status: Racy, err: err}
-}
 
 // Thread is the handle through which program code accesses the simulated
 // memory. All methods are scheduling points.
@@ -232,7 +221,7 @@ func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Race: true})
 		}
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepRead, Loc: l, LocName: t.mc.mem.Name(l), RMode: mode, Val: v})
@@ -280,7 +269,7 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 		if t.mc.tracing {
 			t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Race: true})
 		}
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepWrite, Loc: l, LocName: t.mc.mem.Name(l), WMode: mode, Val: v})
@@ -292,7 +281,7 @@ func (t *Thread) Write(l view.Loc, v int64, mode memory.Mode) {
 func (t *Thread) Free(l view.Loc) {
 	t.step(memory.Access{Kind: memory.AccFree, Loc: l})
 	if err := t.memStep().Free(t.tv, l); err != nil {
-		panic(accessAbort(err))
+		panic(abort{status: Racy, err: err})
 	}
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFree, Loc: l, LocName: t.mc.mem.Name(l)})
@@ -364,16 +353,13 @@ func (t *Thread) Update(l view.Loc, f memory.UpdateFunc, readMode, writeMode mem
 	return old, wrote
 }
 
-// updateChecked converts a UAFError or CertError panic from the memory's
-// RMW path into an execution abort.
+// updateChecked converts a UAFError panic from the memory's RMW path into
+// an execution abort.
 func (t *Thread) updateChecked(l view.Loc, f memory.UpdateFunc, readMode, writeMode memory.Mode) (int64, bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			switch e := p.(type) {
-			case *memory.UAFError:
+			if e, ok := p.(*memory.UAFError); ok {
 				panic(abort{status: Racy, err: e})
-			case *memory.CertError:
-				panic(abort{status: Failed, err: e})
 			}
 			panic(p)
 		}
@@ -566,13 +552,6 @@ type Runner struct {
 	// agree with reported totals even when parallel workers overshoot an
 	// early stop. Safe to share one Stats across concurrent Runners.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is a location-footprint certificate
-	// (extracted by internal/analysis/footprint) installed into each
-	// execution's memory: certified locations take validated fast paths
-	// that skip race instrumentation and read-window computation, and any
-	// access pattern the certificate does not cover aborts the execution
-	// as Failed. Pruning never changes outcomes — see memory/footprint.go.
-	Footprint *memory.Footprint
 	// POR selects the partial-order reduction mode. PORSource excludes
 	// from scheduling any thread whose pending operation conflicts with
 	// nothing executed since it was last a candidate (see
@@ -604,14 +583,10 @@ type Runner struct {
 // workers under the strategy, then main's final phase after it joins the
 // workers' views. Run stops every coroutine it started before it
 // returns. A panic in a thread body other than an execution abort
-// (Failf, a race, a footprint violation), such as a bug in the program or
-// an out-of-range Strategy.Choose, is re-raised by Run in the caller's
-// goroutine after the other threads are stopped, and so is a panic in
-// the strategy. Each call builds its own machine, so concurrent calls
-// may share a Runner. Run also records the per-execution
-// footprint-pruning totals, which are facts about the finished
-// execution's memory rather than result accounting (they cannot
-// overshoot an early stop).
+// (Failf, a race), such as a bug in the program or an out-of-range
+// Strategy.Choose, is re-raised by Run in the caller's goroutine after
+// the other threads are stopped, and so is a panic in the strategy. Each
+// call builds its own machine, so concurrent calls may share a Runner.
 func (r *Runner) Run(prog Program, strat Strategy) *Result {
 	c := new(controller)
 	defer c.stopAll()
@@ -667,7 +642,6 @@ func (r *Runner) run(c *controller, prog Program, strat Strategy, logCap int) *R
 	defer c.unwind()
 	c.run(prog)
 
-	c.stats.FootprintPruned(c.mem.PrunedReads(), c.mem.RaceChecksSkipped())
 	if c.por == PORSource {
 		// One histogram sample per execution: how many race reversals
 		// (wakes) this run's wakeup bookkeeping carried.
@@ -698,9 +672,6 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 		c.mem = memory.New()
 	} else {
 		c.mem.Reset()
-	}
-	if r.Footprint != nil {
-		c.mem.Certify(r.Footprint)
 	}
 	c.strat, c.stats = strat, r.Stats
 	c.reads = readChooser{strat: strat, stats: r.Stats}
@@ -768,13 +739,6 @@ func (c *controller) run(prog Program) {
 		if c.start(main, prog.Setup); c.schedule() {
 			return
 		}
-	}
-	// Setup is over: validate and seal the footprint certificate (if any)
-	// so certified fast paths activate exactly when concurrency begins. A
-	// seal failure means the certificate is stale.
-	if err := c.mem.SealSetup(); err != nil {
-		c.end(Failed, err)
-		return
 	}
 	// Spawn: main blocks until the join, and the workers start one at a
 	// time in thread order with views forked from main's (joined into

@@ -146,12 +146,6 @@ type ExploreOpts struct {
 	// step-level counters; it must therefore be safe for concurrent use,
 	// which telemetry.Stats is.
 	Stats *telemetry.Stats
-	// Footprint, when non-nil, is installed into every execution's Runner
-	// (see Runner.Footprint): certified locations skip race
-	// instrumentation and read-window computation without changing any
-	// outcome, so an exploration with a valid footprint visits the same
-	// executions as one without.
-	Footprint *memory.Footprint
 	// Trace enables step-event recording in every execution's Runner (see
 	// Runner.Trace): each visited Result carries its typed StepEvent
 	// stream. Recording never changes decisions or outcomes. The
@@ -180,12 +174,12 @@ type ExploreOpts struct {
 	// something executed since they were last considered, waking sleepers
 	// only on dynamically observed conflicts, and prunes stale read-value
 	// branches via wakeup read floors, so whole subtrees that replay
-	// explored equivalence classes are never branched on. The set of reachable outcomes — and the meaning of
-	// Complete as a bounded proof over them — is preserved; only Runs
-	// shrinks. Composes with Footprint (which prunes per-access work, not
-	// branches) and with ExploreParallel's subtree partitioning (the
-	// reduced tree is still a deterministic function of the decision
-	// prefix, so pinned prefixes replay it exactly).
+	// explored equivalence classes are never branched on. The set of
+	// reachable outcomes — and the meaning of Complete as a bounded proof
+	// over them — is preserved; only Runs shrinks. Composes with
+	// ExploreParallel's subtree partitioning (the reduced tree is still a
+	// deterministic function of the decision prefix, so pinned prefixes
+	// replay it exactly).
 	POR PORMode
 	// Plan, when non-nil, is installed into every execution's Runner (see
 	// Runner.Plan): under PORSource the static access-plan oracle refutes
@@ -223,7 +217,7 @@ func Explore(build func() Program, opts ExploreOpts, visit func(*Result) bool) E
 	if maxRuns <= 0 {
 		maxRuns = 200000
 	}
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan}
 	if opts.Plan != nil {
 		opts.Stats.PlanSites(int64(opts.Plan.SiteCount()))
 	}
@@ -429,7 +423,7 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 //
 //compass:accounting
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
-	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, Footprint: e.opts.Footprint, POR: e.opts.POR, Plan: e.opts.Plan}
+	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, POR: e.opts.POR, Plan: e.opts.Plan}
 	// One kept machine serves every run of this worker, its thread
 	// coroutines living until the worker returns, and one decision
 	// buffer: children copy out of it before they reach the shared
@@ -507,8 +501,8 @@ func (s *Recorded) Choose(n int) int {
 // RunRandomOpt executes the program n times with seeds seed, seed+1, ...,
 // invoking visit for each result, and returns the number of executions
 // that completed with status OK. The runner is built exactly as the
-// explorers build theirs — Budget, Trace, Stats, Footprint, and POR all
-// taken from opts — and every execution is accounted with one ExecDone,
+// explorers build theirs — Budget, Trace, Stats, POR and Plan all taken
+// from opts — and every execution is accounted with one ExecDone,
 // so telemetry totals equal what visit observed. MaxRuns, MaxDepth,
 // Workers, Resume, and PauseRuns are exploration-tree concepts and are
 // ignored: random sampling has no decision tree. The executions run on
@@ -517,7 +511,7 @@ func (s *Recorded) Choose(n int) int {
 //
 //compass:accounting
 func RunRandomOpt(build func() Program, n int, seed int64, opts ExploreOpts, visit func(*Result) bool) int {
-	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, Footprint: opts.Footprint, POR: opts.POR, Plan: opts.Plan}
+	runner := &Runner{Budget: opts.Budget, Trace: opts.Trace, Stats: opts.Stats, POR: opts.POR, Plan: opts.Plan}
 	m := runner.Keep()
 	defer m.Close()
 	strat := NewRandom(seed)

@@ -96,13 +96,6 @@ func (m *Memory) Free(tv *ThreadView, l view.Loc) error {
 	if loc.freed {
 		return &UAFError{Loc: l, Name: loc.name, Kind: "free", Thread: tv.ID}
 	}
-	if c := m.cert(l); c != nil {
-		// Freeing is a write-like event: only the certified owner of an
-		// exclusive location may do it, and read-only locations stay live.
-		if err := m.validateWrite(c, tv, l, "free"); err != nil {
-			return err
-		}
-	}
 	loc.freed = true
 	return nil
 }
@@ -180,28 +173,19 @@ type Memory struct {
 	step int
 	// sc is the global SC-fence clock (see FenceSC).
 	sc view.Clock
-
-	// Footprint certificate state (see footprint.go). fp is installed by
-	// Certify; sealed flips at SealSetup, after which certified locations
-	// take validated fast paths counted by prunedReads / raceSkips.
-	fp          *Footprint
-	sealed      bool
-	prunedReads int64
-	raceSkips   int64
 }
 
 // New returns an empty memory.
 func New() *Memory { return &Memory{sc: view.NewClock()} }
 
 // Reset empties m for another execution, leaving it as New returns it
-// (no locations, step 0, bottom SC clock, no footprint certificate) but
+// (no locations, step 0, bottom SC clock) but
 // keeping its storage: Alloc reuses the location structs with their
 // history arrays, and writes reuse the old messages' view arrays.
 func (m *Memory) Reset() {
 	m.locs = m.locs[:0]
 	m.step = 0
 	m.sc.Reset()
-	m.fp, m.sealed, m.prunedReads, m.raceSkips = nil, false, 0, 0
 }
 
 // Step returns the number of memory events executed so far.
@@ -326,10 +310,9 @@ func (m *Memory) Read(tv *ThreadView, l view.Loc, mode Mode, ch Chooser) (int64,
 // sleep, so every continuation reading one of them is state-identical to
 // a continuation of the already-scheduled sibling in which the reader ran
 // first — re-enumerating them here would only replay that sibling's
-// equivalence classes. Non-atomic and certified reads ignore the floor
-// (they never branch on a message choice). If the floor exceeds the
-// history (the waking RMW never wrote), the window clamps to the latest
-// message.
+// equivalence classes. Non-atomic reads ignore the floor (they never
+// branch on a message choice). If the floor exceeds the history (the
+// waking RMW never wrote), the window clamps to the latest message.
 func (m *Memory) ReadFloored(tv *ThreadView, l view.Loc, mode Mode, ch Chooser, floor view.Time) (int64, error) {
 	loc := m.locs[l]
 	m.step++
@@ -337,20 +320,6 @@ func (m *Memory) ReadFloored(tv *ThreadView, l view.Loc, mode Mode, ch Chooser, 
 		return 0, &UAFError{Loc: l, Name: loc.name, Kind: "read", Thread: tv.ID}
 	}
 	if mode == NA {
-		if err := m.checkNA(tv, l, "read"); err != nil {
-			return 0, err
-		}
-		if c := m.cert(l); c != nil {
-			// Certified fast path: validateRead's saturation check is
-			// exactly the race condition below, and the read-view join is
-			// provably redundant (only the certified owner, or nobody,
-			// writes this location after setup).
-			if err := m.validateRead(c, tv, l); err != nil {
-				return 0, err
-			}
-			m.raceSkips++
-			return loc.last().Val, nil
-		}
 		if tv.Cur.V.Get(l) < loc.maxT() {
 			return 0, &RaceError{Loc: l, Name: loc.name, Kind: "read", Thread: tv.ID,
 				Detail: fmt.Sprintf("reader has observed t=%d but latest write is t=%d (write not happens-before read)",
@@ -362,17 +331,6 @@ func (m *Memory) ReadFloored(tv *ThreadView, l view.Loc, mode Mode, ch Chooser, 
 		loc.hasRead = true
 		loc.readView.JoinInto(tv.Cur.V)
 		return msg.Val, nil
-	}
-	if c := m.cert(l); c != nil {
-		// Certified fast path: the reader's view saturates the history
-		// (validated), so the visible window is exactly {last}, the
-		// strategy would never be consulted, and the message clock is
-		// already below the reader's view — every join below is a no-op.
-		if err := m.validateRead(c, tv, l); err != nil {
-			return 0, err
-		}
-		m.prunedReads++
-		return loc.last().Val, nil
 	}
 	// Visible candidates: timestamps ≥ Cur(l), raised to the wakeup floor.
 	lo := tv.Cur.V.Get(l)
@@ -415,28 +373,6 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 	}
 	t := loc.maxT() + 1
 	if mode == NA {
-		if err := m.checkNA(tv, l, "write"); err != nil {
-			return err
-		}
-		if c := m.cert(l); c != nil {
-			// Certified fast path: ownership (validated) implies both race
-			// checks below pass — the owner performed every prior access.
-			if err := m.validateWrite(c, tv, l, "write"); err != nil {
-				return err
-			}
-			if got := tv.Cur.V.Get(l); got != loc.maxT() {
-				return &CertError{Loc: l, Name: loc.name, Thread: tv.ID, Detail: fmt.Sprintf(
-					"writer view t=%d does not saturate certified history t=%d", got, loc.maxT())}
-			}
-			m.raceSkips++
-			clk := loc.newClock(tv.Cur.V.Width())
-			clk.JoinInto(tv.Cur)
-			clk.V.Set(l, t)
-			loc.hist = append(loc.hist, Message{T: t, Val: v, Clk: clk, Writer: tv.ID, Step: m.step})
-			tv.Cur.V.Set(l, t)
-			tv.Acq.V.Set(l, t)
-			return nil
-		}
 		if tv.Cur.V.Get(l) < loc.maxT() {
 			return &RaceError{Loc: l, Name: loc.name, Kind: "write", Thread: tv.ID,
 				Detail: fmt.Sprintf("writer has observed t=%d but latest write is t=%d",
@@ -453,14 +389,6 @@ func (m *Memory) Write(tv *ThreadView, l view.Loc, v int64, mode Mode) error {
 		tv.Cur.V.Set(l, t)
 		tv.Acq.V.Set(l, t)
 		return nil
-	}
-	if c := m.cert(l); c != nil {
-		// Atomic writes have no instrumentation to skip, but the
-		// certificate is still enforced: a write the recording never saw
-		// must fail loudly, not invalidate later fast-path reads.
-		if err := m.validateWrite(c, tv, l, "write"); err != nil {
-			return err
-		}
 	}
 	rl, hasRL := tv.RelLoc[l]
 	w := int(l) + 1
@@ -542,14 +470,6 @@ func (m *Memory) Update(tv *ThreadView, l view.Loc, f UpdateFunc, readMode, writ
 	m.step++
 	if loc.freed {
 		panic(&UAFError{Loc: l, Name: loc.name, Kind: "rmw", Thread: tv.ID})
-	}
-	if c := m.cert(l); c != nil {
-		// RMWs already read the mo-maximal message, so there is nothing
-		// to prune — but certificate violations must still abort (Update
-		// has no error channel; the machine converts the panic).
-		if err := m.validateWrite(c, tv, l, "rmw"); err != nil {
-			panic(err)
-		}
 	}
 	msg := loc.last()
 	old := msg.Val

@@ -242,6 +242,72 @@ func TestStaleReadIsPossibleAndCoherenceHolds(t *testing.T) {
 	}
 }
 
+// noChoice fails the test if a read asks it for a decision.
+type noChoice struct{ t *testing.T }
+
+func (c noChoice) Choose(n int) int {
+	c.t.Fatalf("Choose(%d) called for a one-message window", n)
+	return 0
+}
+
+// TestOneMessageWindowNeedsNoDecision pins what a read does when the
+// reader's view already holds the location's latest write: the visible
+// window is that one message, so the read returns it without calling
+// Choose and joins nothing the reader has not already observed. Two
+// reads at each of NA, Rlx and Acq: an owner re-reading its own latest
+// write, and a worker reading a location last written in setup, after
+// forking main's view. Both locations have older messages, so a window
+// the reader's view did not bound would be wider than one.
+func TestOneMessageWindowNeedsNoDecision(t *testing.T) {
+	for _, mode := range []Mode{NA, Rlx, Acq} {
+		t.Run(mode.String(), func(t *testing.T) {
+			wmode := mode
+			if mode == Acq {
+				wmode = Rel
+			}
+			m := New()
+			main := NewThreadView(0)
+			cfg := m.Alloc(main, "cfg", 0)
+			mine := m.Alloc(main, "mine", 0)
+			// Library events that the writes carry, committed as the
+			// recorder does: into Cur and Acq alike.
+			commit := func(tv *ThreadView, e view.EventID) { tv.Cur.L.Add(e); tv.Acq.L.Add(e) }
+			commit(main, 1)
+			if err := m.Write(main, cfg, 7, wmode); err != nil {
+				t.Fatal(err)
+			}
+			owner, worker := main.Fork(1), main.Fork(2)
+			commit(owner, 2)
+			for v := int64(1); v <= 3; v++ {
+				if err := m.Write(owner, mine, v, wmode); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range []struct {
+				name string
+				tv   *ThreadView
+				l    view.Loc
+				want int64
+			}{
+				{"owner", owner, mine, 3},
+				{"worker", worker, cfg, 7},
+			} {
+				cur, acq := r.tv.Cur.Clone(), r.tv.Acq.Clone()
+				v, err := m.Read(r.tv, r.l, mode, noChoice{t})
+				if err != nil || v != r.want {
+					t.Fatalf("%s: read %d, %v; want %d, nil", r.name, v, err, r.want)
+				}
+				if !r.tv.Cur.V.Equal(cur.V) || !r.tv.Cur.L.Equal(cur.L) {
+					t.Errorf("%s: Cur %s, want it unchanged at %s", r.name, r.tv.Cur, cur)
+				}
+				if !r.tv.Acq.V.Equal(acq.V) || !r.tv.Acq.L.Equal(acq.L) {
+					t.Errorf("%s: Acq %s, want it unchanged at %s", r.name, r.tv.Acq, acq)
+				}
+			}
+		})
+	}
+}
+
 func TestCASStrongSemantics(t *testing.T) {
 	m := New()
 	t0 := NewThreadView(0)

@@ -8,26 +8,15 @@ import (
 
 // This file defines static access plans: per-thread may-sets of
 // (allocation-site name, access kind, mode) extracted ahead of time from a
-// program's Go source by internal/analysis/staticplan. A plan is the
-// static dual of a dynamic footprint certificate — instead of recording
-// what one schedule did, it over-approximates what every schedule can do.
+// program's Go source by internal/analysis/staticplan: an
+// over-approximation of what every schedule can do.
 //
-// Two consumers rely on the over-approximation in opposite directions:
-//
-//   - The certificate gate (internal/analysis/footprint.Gate) refuses a
-//     dynamic certificate whose claims a statically-reachable access could
-//     violate. Because the plan is a may-set, every access any execution
-//     performs is covered by some plan site (or the thread is ⊤), so a
-//     certificate the gate admits can only abort on genuinely
-//     plan-invisible behaviour — and a ⊤ thread vetoes certification
-//     outright rather than being guessed about.
-//
-//   - The POR oracle (PlanOracle) answers "can thread t ever touch this
-//     site conflictingly?" with "no" only when the plan has a non-⊤
-//     may-set for t that excludes the site or the conflicting kind.
-//     Exploration soundness needs exactly that direction: a false "no"
-//     could prune a reachable interleaving, so ⊤ and out-of-range threads
-//     always answer "yes".
+// Its consumer is source-DPOR's oracle (PlanOracle), which answers "can
+// thread t ever touch this site conflictingly?" with "no" only when the
+// plan has a non-⊤ may-set for t that excludes the site or the
+// conflicting kind. Exploration soundness needs exactly that direction: a
+// false "no" could prune a reachable interleaving, so ⊤ and out-of-range
+// threads always answer "yes".
 //
 // Sites are identified by allocation name, not location index: location
 // indices are schedule-dependent for worker-phase allocations, while the
@@ -46,9 +35,7 @@ const (
 	PlanFree
 	// PlanAlloc marks sites the thread itself may allocate (worker-phase
 	// allocations). It never matches a conflict query — a fresh location
-	// cannot be anyone's pending location — but the certificate gate uses
-	// it: a worker-phase allocation falsifies an all-atomic claim the same
-	// way the dynamic extractor's recording does.
+	// cannot be anyone's pending location.
 	PlanAlloc
 )
 
@@ -137,40 +124,6 @@ func (tp *ThreadPlan) MayTouch(name string, kinds PlanKind) bool {
 		return true
 	}
 	return tp.Sites[name].Kinds&kinds != 0
-}
-
-// UsesNA reports whether any site may be accessed non-atomically (⊤
-// threads conservatively may). The map scan is an existential query;
-// visit order cannot change the answer.
-//
-//compass:orderinsensitive
-func (tp *ThreadPlan) UsesNA() bool {
-	if tp == nil || tp.Top {
-		return true
-	}
-	for _, u := range tp.Sites {
-		if u.ReadModes.Has(NA) || u.WriteModes.Has(NA) {
-			return true
-		}
-	}
-	return false
-}
-
-// Allocates reports whether the thread may allocate locations itself (⊤
-// threads conservatively may). The map scan is an existential query;
-// visit order cannot change the answer.
-//
-//compass:orderinsensitive
-func (tp *ThreadPlan) Allocates() bool {
-	if tp == nil || tp.Top {
-		return true
-	}
-	for _, u := range tp.Sites {
-		if u.Kinds&PlanAlloc != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // AddSite unions a use into the thread's may-set.

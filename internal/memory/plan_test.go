@@ -20,21 +20,18 @@ func TestThreadPlanMaySet(t *testing.T) {
 	if u := tp.Sites["x"]; !u.ReadModes.Has(Acq) || !u.WriteModes.Has(Rel) || u.ReadModes.Has(NA) {
 		t.Errorf("merged modes = r:%s w:%s", u.ReadModes, u.WriteModes)
 	}
-	if tp.UsesNA() {
-		t.Error("UsesNA without any NA mode")
-	}
-	if !tp.Allocates() {
-		t.Error("PlanAlloc site not reported by Allocates")
+	if !tp.MayTouch("y", PlanAlloc) || tp.MayTouch("x", PlanAlloc) {
+		t.Error("PlanAlloc not kept on its own site")
 	}
 	tp.AddSite("x", SiteUse{Kinds: PlanRead, ReadModes: ModeBit(NA)})
-	if !tp.UsesNA() {
-		t.Error("NA mode not reported by UsesNA")
+	if u := tp.Sites["x"]; !u.ReadModes.Has(NA) || !u.ReadModes.Has(Acq) {
+		t.Errorf("NA read mode not merged: r:%s", u.ReadModes)
 	}
 }
 
 func TestTopAndOutOfRangeThreads(t *testing.T) {
 	top := ThreadPlan{Top: true, TopReason: "because"}
-	if !top.MayTouch("anything", PlanFree) || !top.UsesNA() || !top.Allocates() {
+	if !top.MayTouch("anything", PlanFree) || !top.MayTouch("anything", PlanAlloc) {
 		t.Error("⊤ thread must over-approximate everything")
 	}
 	p := &Plan{Program: "p", Threads: []ThreadPlan{{}}}

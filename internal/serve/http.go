@@ -19,6 +19,13 @@ const (
 	codeStaleLease   = "stale_lease"
 )
 
+// maxRequestBody bounds the bodies of job submissions and of lease
+// acquire and renew requests. json.Decoder buffers a whole value before
+// it can refuse it, so an unbounded body could exhaust the daemon's
+// memory; a JobSpec is a few hundred bytes. Lease returns are not
+// bounded: they carry a frontier whose size grows with the job.
+const maxRequestBody = 1 << 20
+
 // Handler builds the compassd HTTP API on a manager. The canonical
 // surface is versioned under /v1:
 //
@@ -61,7 +68,7 @@ func Handler(m *Manager) http.Handler {
 		// option this build lacks (say "dedup") would otherwise run as a
 		// different job than the one submitted.
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode job spec: %w", err))
@@ -113,7 +120,7 @@ func Handler(m *Manager) http.Handler {
 		var req struct {
 			Peer string `json:"peer"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode acquire request: %w", err))
 			return
 		}
@@ -134,7 +141,7 @@ func Handler(m *Manager) http.Handler {
 			LeaseID string `json:"lease_id"`
 			Epoch   int64  `json:"epoch"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode renew request: %w", err))
 			return
 		}

@@ -246,6 +246,58 @@ func TestHTTPV1RefusesRemovedFields(t *testing.T) {
 	}
 }
 
+// TestHTTPV1RefusesOversizedBodies: a body over the 1 MiB request bound
+// on the job-submission and lease acquire/renew routes is refused with
+// the 400 envelope, and registers no job and grants or renews no lease.
+// Each body is a well-formed request after 2 MiB of leading whitespace,
+// so an unbounded decoder would accept it (202, or the lease routes' 404
+// no_work and 409 stale_lease). A normal spec is still accepted.
+func TestHTTPV1RefusesOversizedBodies(t *testing.T) {
+	t.Parallel()
+	srv, m := newTestServer(t)
+	pad := strings.Repeat(" ", 2<<20)
+	for _, req := range []struct{ path, body string }{
+		{"/v1/jobs", `{"workload":"litmus/SB"}`},
+		{"/jobs", `{"workload":"litmus/SB"}`},
+		{"/v1/shard/leases", `{"peer":"p"}`},
+		{"/v1/shard/leases/renew", `{"job_id":"j","lease_id":"l","epoch":1}`},
+	} {
+		resp, err := http.Post(srv.URL+req.path, "application/json", strings.NewReader(pad+req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: %d, want 400", req.path, resp.StatusCode)
+		}
+		if ae := decodeEnvelope(t, resp); ae.Code != codeBadRequest {
+			t.Errorf("POST %s: code = %q, want %q", req.path, ae.Code, codeBadRequest)
+		}
+	}
+	if views := m.JobViews(); len(views) != 0 {
+		t.Errorf("oversized submissions registered %d jobs", len(views))
+	}
+	if v := m.Stats().Snapshot().Serve; v.LeasesGranted != 0 || v.LeasesRenewed != 0 {
+		t.Errorf("oversized lease requests granted %d and renewed %d leases", v.LeasesGranted, v.LeasesRenewed)
+	}
+
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"litmus/SB"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs with a normal spec: %d, want 202", resp.StatusCode)
+	}
+	m.Wait()
+	if v, _ := m.Job(view.ID); v.View().Status != StatusDone {
+		t.Errorf("normal spec's job ended %s, want done", v.View().Status)
+	}
+}
+
 // TestHTTPV1LeaseRoundTrip drives the lease protocol over HTTP directly:
 // acquire → renew → return, asserting grant shape and the renew/return
 // happy paths the Peer client depends on.

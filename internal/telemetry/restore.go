@@ -45,9 +45,6 @@ func Restore(snap Snapshot) (*Stats, error) {
 	for i, n := range snap.Machine.ThreadPicks {
 		m.ThreadPicks[i].Add(n)
 	}
-	m.PrunedReads.Add(snap.Machine.PrunedReads)
-	m.RaceChecksSkipped.Add(snap.Machine.RaceChecksSkipped)
-	m.CertRefusals.Add(snap.Machine.CertRefusals)
 
 	e := &s.Explore
 	e.Prefixes.Add(snap.Explore.Prefixes)

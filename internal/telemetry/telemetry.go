@@ -182,17 +182,6 @@ type MachineStats struct {
 	// ThreadPicks counts scheduler grants per thread ID (fairness);
 	// thread IDs ≥ MaxTrackedThreads share the last slot.
 	ThreadPicks [MaxTrackedThreads]Counter
-	// PrunedReads counts atomic reads answered by a footprint-certificate
-	// fast path (visible window proven to be 1; no history scan, no
-	// strategy consultation).
-	PrunedReads Counter
-	// RaceChecksSkipped counts non-atomic accesses whose race
-	// instrumentation was skipped under a footprint certificate.
-	RaceChecksSkipped Counter
-	// CertRefusals counts dynamic footprint certificates refused by the
-	// static access-plan gate before exploration started (the certificate
-	// omitted a statically-reachable access; the run proceeds unpruned).
-	CertRefusals Counter
 }
 
 // ExploreStats instruments the decision-prefix tree of the exhaustive
@@ -346,16 +335,6 @@ func (s *Stats) ThreadPick(tid int) {
 	s.Machine.ThreadPicks[tid].Inc()
 }
 
-// FootprintPruned records one execution's certificate-fast-path totals:
-// pruned atomic reads and skipped non-atomic race checks.
-func (s *Stats) FootprintPruned(prunedReads, raceChecksSkipped int64) {
-	if s == nil || (prunedReads == 0 && raceChecksSkipped == 0) {
-		return
-	}
-	s.Machine.PrunedReads.Add(prunedReads)
-	s.Machine.RaceChecksSkipped.Add(raceChecksSkipped)
-}
-
 // PrefixClaimed records the explorer claiming one pinned prefix of the
 // given decision depth.
 func (s *Stats) PrefixClaimed(depth int) {
@@ -466,15 +445,6 @@ func (s *Stats) PlanConflictRefuted() {
 	s.Explore.PlanConflictsRefuted.Inc()
 }
 
-// CertRefused records one dynamic footprint certificate refused by the
-// static access-plan gate before exploration.
-func (s *Stats) CertRefused() {
-	if s == nil {
-		return
-	}
-	s.Machine.CertRefusals.Inc()
-}
-
 // FuzzProgram records one generated campaign program.
 func (s *Stats) FuzzProgram() {
 	if s == nil {
@@ -561,9 +531,6 @@ func (s *Stats) Merge(o *Stats) {
 	for i := range m.ThreadPicks {
 		m.ThreadPicks[i].Add(om.ThreadPicks[i].Load())
 	}
-	m.PrunedReads.Add(om.PrunedReads.Load())
-	m.RaceChecksSkipped.Add(om.RaceChecksSkipped.Load())
-	m.CertRefusals.Add(om.CertRefusals.Load())
 	e, oe := &s.Explore, &o.Explore
 	e.Prefixes.Add(oe.Prefixes.Load())
 	e.Children.Add(oe.Children.Load())
@@ -617,13 +584,12 @@ type MachineSnapshot struct {
 	StaleRate     float64           `json:"stale_rate"`
 	ReadFanout    HistogramSnapshot `json:"read_fanout"`
 	ThreadPicks   []int64           `json:"thread_picks,omitempty"`
-	// Footprint-certificate effectiveness (0 unless a footprint was
-	// installed for the run; see internal/analysis/footprint).
+	// Retired with footprint certificates and always 0. Kept so the v1
+	// layout is unchanged and the strict decoder still accepts the
+	// snapshots written while they existed.
 	PrunedReads       int64 `json:"pruned_reads"`
 	RaceChecksSkipped int64 `json:"race_checks_skipped"`
-	// CertRefusals counts certificates the static access-plan gate
-	// refused before exploration (0 unless plan gating was requested).
-	CertRefusals int64 `json:"cert_refusals"`
+	CertRefusals      int64 `json:"cert_refusals"`
 }
 
 // ExploreSnapshot is the JSON form of ExploreStats.
@@ -710,9 +676,6 @@ func (s *Stats) Snapshot() Snapshot {
 		snap.Machine.StaleRate = float64(snap.Machine.StaleReads) / float64(snap.Machine.ReadChoices)
 	}
 	snap.Machine.ReadFanout = m.ReadFanout.snapshot()
-	snap.Machine.PrunedReads = m.PrunedReads.Load()
-	snap.Machine.RaceChecksSkipped = m.RaceChecksSkipped.Load()
-	snap.Machine.CertRefusals = m.CertRefusals.Load()
 	last := 0
 	for i := range m.ThreadPicks {
 		if m.ThreadPicks[i].Load() > 0 {
