@@ -563,6 +563,6 @@ func PlanFor(name string) *Plan { return staticplan.PlanFor(name) }
 
 // WithPlan installs a static access plan on a litmus exploration. The
 // plan is consulted only under source-DPOR (WithPORMode(PORSource)) to
-// refute conservative dependence verdicts; outcome sets and verdicts are
-// identical with or without it.
+// grant provably conflict-free steps without branching; outcome sets and
+// verdicts are identical with or without it.
 func WithPlan(p *Plan) LitmusOption { return litmus.WithPlan(p) }

@@ -23,9 +23,7 @@ import (
 //     the plan is ⊤ with a reason: library implementations round-trip
 //     locations through simulated memory (node tables indexed by values
 //     read back from cells), which no static tracking of view.Loc flow
-//     can follow. The ⊤ verdict still buys the kind-based Refutes
-//     refutations, and answering "may touch anything" is the sound
-//     answer.
+//     can follow. Answering "may touch anything" is the sound answer.
 
 // PlanSuiteDirective marks suite functions whose entries get plans.
 const PlanSuiteDirective = "plan-suite"

@@ -19,8 +19,10 @@ func stepAccess(e machine.StepEvent) memory.Access {
 		return memory.Access{Kind: memory.AccWrite, Loc: e.Loc}
 	case machine.StepFree:
 		return memory.Access{Kind: memory.AccFree, Loc: e.Loc}
-	case machine.StepFence, machine.StepFenceSC:
+	case machine.StepFence:
 		return memory.Access{Kind: memory.AccFence}
+	case machine.StepFenceSC:
+		return memory.Access{Kind: memory.AccFenceSC}
 	case machine.StepCAS, machine.StepFAA, machine.StepXchg, machine.StepUpdate:
 		return memory.Access{Kind: memory.AccRMW, Loc: e.Loc}
 	}

@@ -126,8 +126,7 @@ func WithStats(stats *telemetry.Stats) Option { return func(c *config) { c.stats
 
 // WithPlan installs a static access plan (see
 // internal/analysis/staticplan) consulted by source-DPOR: provably
-// conflict-free pending accesses are forced as singleton persistent sets
-// and conservative wake verdicts on allocations and frees are refuted.
+// conflict-free pending accesses are forced as singleton persistent sets.
 // Plans are may-over-approximations of every schedule's accesses, so the
 // outcome *set* is identical with and without one — asserted bit-for-bit
 // by the plan-equivalence test in this package — while the execution

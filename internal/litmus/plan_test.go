@@ -110,9 +110,7 @@ func TestPlanTelemetry(t *testing.T) {
 
 // TestLibraryPlanEquivalence runs the library refinement corpus under
 // source-DPOR with and without the committed (⊤) plans: the golden
-// verdict line must be identical and the plan must not add runs. ⊤ plans
-// still refute the conservative alloc/free dependence verdicts, which is
-// where library workloads (node allocations on every push) win.
+// verdict line must be identical and the plan must not add runs.
 func TestLibraryPlanEquivalence(t *testing.T) {
 	for _, lt := range LibrarySuite() {
 		lt := lt

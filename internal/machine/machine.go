@@ -215,7 +215,7 @@ func (t *Thread) Alloc(name string, init int64) view.Loc {
 
 // Read loads from l with the given access mode.
 func (t *Thread) Read(l view.Loc, mode memory.Mode) int64 {
-	t.step(memory.Access{Kind: memory.AccRead, Loc: l})
+	t.step(memory.Access{Kind: memory.AccRead, Loc: l, NA: mode == memory.NA})
 	v, err := t.memStep().ReadFloored(t.tv, l, mode, &t.mc.reads, t.takeFloor(l, mode))
 	if err != nil {
 		if t.mc.tracing {
@@ -300,7 +300,7 @@ func (t *Thread) Fence(acquire, release bool) {
 // FenceSC issues a sequentially consistent fence (totally ordered with all
 // other SC fences; forbids store-buffering between fenced accesses).
 func (t *Thread) FenceSC() {
-	t.step(memory.Access{Kind: memory.AccFence})
+	t.step(memory.Access{Kind: memory.AccFenceSC})
 	t.memStep().FenceSC(t.tv)
 	if t.mc.tracing {
 		t.mc.record(StepEvent{Thread: t.id, Kind: StepFenceSC})
@@ -567,11 +567,10 @@ type Runner struct {
 	// Plan, when non-nil, is a static access plan (extracted by
 	// internal/analysis/staticplan) consulted only under POR, and
 	// only when its Program matches the program's name (anonymous
-	// programs trust the caller's pairing): the plan oracle
-	// refutes conservative dynamic conflict verdicts before a sleeper is
-	// woken, and proves pending reads/writes invisible (no other live
-	// thread's may-set conflicts with them) so they form singleton
-	// persistent sets. The plan is a may-over-approximation, so
+	// programs trust the caller's pairing): the plan oracle proves
+	// pending reads, writes and RMWs invisible (no other live thread's
+	// may-set conflicts with them) so they form singleton persistent
+	// sets. The plan is a may-over-approximation, so
 	// consulting it never loses a reachable outcome; with Plan nil the
 	// explorer behaves bit-identically to the plan-less one.
 	Plan *memory.Plan

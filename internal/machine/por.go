@@ -20,15 +20,16 @@ const (
 	// scheduling candidate is excluded from scheduling (it sleeps), and it
 	// wakes only when the granted operation dynamically conflicts with its
 	// pending one (memory.Conflicting — same location with a write side,
-	// or a conservative fence/alloc/free), so a wake is precisely an
+	// two SC fences, or two allocations), so a wake is precisely an
 	// observed race whose reversal gets explored, and the only backtrack
 	// points inserted are at prefixes where such a race occurred. Two
 	// refinements prune further while preserving outcome sets exactly:
 	//
-	//   - a sleeping writer (or RMW) stays asleep across reads of its
-	//     location: the sibling branch that scheduled the writer first
-	//     also lets the read observe every pre-write message, so reads
-	//     never insert backtrack points;
+	//   - a sleeping writer (or RMW) stays asleep across atomic reads of
+	//     its location: the sibling branch that scheduled the writer
+	//     first also lets the read observe every pre-write message, so
+	//     atomic reads never insert backtrack points (an NA read has no
+	//     stale choice, so it wakes the writer);
 	//   - a sleeping reader woken by a same-location write re-enters
 	//     scheduling with a wakeup constraint (a read floor): its read
 	//     enumerates only the messages appended since it went to sleep,
@@ -102,11 +103,13 @@ func porFallbackWarn(threads int) {
 // pending operation forms a singleton persistent set (Godefroid): no
 // other thread can ever perform a dependent operation before it, so
 // granting it immediately with no sibling branches (and no sleeps)
-// reaches exactly the states the full branching would. Two kinds
-// qualify:
+// reaches exactly the states the full branching would. These qualify:
 //
 //   - AccNone (Yield): a pure scheduling point with no memory effect,
 //     dependent on nothing;
+//   - AccFence (a release, acquire or acquire-release fence): it reads
+//     and writes only its own thread's views, so it commutes with every
+//     operation of every other thread (memory.Conflicting);
 //   - AccReport: dependent only on same-name reports. It is forced only
 //     when no other live thread's announced pending operation is a
 //     same-name report; an unannounced future same-name report is
@@ -131,7 +134,7 @@ func (c *controller) forceInvisible(cand []int) int {
 	for i, tid := range cand {
 		p := c.pending[tid]
 		switch p.Kind {
-		case memory.AccNone:
+		case memory.AccNone, memory.AccFence:
 			return i
 		case memory.AccReport:
 			clash := false
@@ -183,26 +186,15 @@ func (c *controller) sourceWake(u int, op memory.Access) {
 	if !memory.Conflicting(p, op) {
 		return
 	}
-	if c.plan != nil {
-		// The dynamic oracle is conservative about allocations and frees
-		// (dependent with everything); the plan oracle refutes the
-		// verdicts that are provably spurious for the two concrete
-		// pending accesses (an allocation's fresh location cannot be an
-		// existing one; frees commute with accesses to other locations).
-		// Gated on plan presence so plan-off exploration is bit-identical.
-		c.stats.PlanCheck()
-		if c.plan.Refutes(p, op) {
-			c.stats.PlanConflictRefuted()
-			return
-		}
-	}
 	pWrites := p.Kind == memory.AccWrite || p.Kind == memory.AccRMW
 	opWrites := op.Kind == memory.AccWrite || op.Kind == memory.AccRMW
-	if p.Loc == op.Loc && pWrites && op.Kind == memory.AccRead {
-		// A read of the sleeping writer's location: the read cannot
-		// observe the unwritten message, so (read; …; write) is
+	if p.Loc == op.Loc && pWrites && op.Kind == memory.AccRead && !op.NA {
+		// An atomic read of the sleeping writer's location: the read
+		// cannot observe the unwritten message, so (read; …; write) is
 		// state-identical to the sibling (write; read-stale; …) that the
-		// writer-first branch explores. No reversal needed.
+		// writer-first branch explores. No reversal needed. An NA read
+		// has no stale choice: after the write it races, so it wakes the
+		// writer below like any conflict.
 		return
 	}
 	c.sleep &^= 1 << uint(u)

@@ -43,16 +43,20 @@ func sleepCounters(s *telemetry.Stats) string {
 }
 
 func outcomeString(o map[string]int64) string {
-	keys := make([]string, 0, len(o))
-	for k := range o {
+	s := ""
+	for _, k := range sortedKeys(o) {
+		s += fmt.Sprintf("%s=%d ", k, o[k])
+	}
+	return s
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	s := ""
-	for _, k := range keys {
-		s += k + "=" + string(rune('0'+o[k])) + " "
-	}
-	return s
+	return keys
 }
 
 // disjointProgram has two workers touching entirely disjoint locations:

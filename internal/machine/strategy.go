@@ -182,10 +182,9 @@ type ExploreOpts struct {
 	// replay it exactly).
 	POR PORMode
 	// Plan, when non-nil, is installed into every execution's Runner (see
-	// Runner.Plan): under PORSource the static access-plan oracle refutes
-	// spurious dynamic conflicts and forces plan-invisible steps, further
-	// shrinking Runs at provably identical outcome sets. Ignored under
-	// POROff.
+	// Runner.Plan): under PORSource the static access-plan oracle forces
+	// plan-invisible steps, further shrinking Runs at provably identical
+	// outcome sets. Ignored under POROff.
 	Plan *memory.Plan
 }
 

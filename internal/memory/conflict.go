@@ -12,29 +12,30 @@ import "compass/internal/view"
 // diagnostics-only Message.Step stamps), and neither step enables,
 // disables or changes the choice set of the other. Soundness needs only
 // that direction; every conservative true merely costs reduction, never
-// outcomes.
+// outcomes. Each kind's answer follows from the state it reads and
+// writes in memory.go: a release/acquire fence touches only its own
+// thread's views, an SC fence those views and the global SC clock, an
+// allocation the location counter, a free its own location's freed flag
+// (DESIGN.md §11 argues each pair).
 
 // Conflicting reports whether two accesses dynamically conflict: they
 // touch the same location and at least one of them has a write side
-// (write or RMW), or one of them is a conservative operation (fence,
-// alloc, free) that orders against every memory operation, or they are
-// reports racing on the same outcome name. An RMW against an access of
-// another location does not conflict, which is where CAS-loop-heavy
-// library workloads keep their schedule freedom.
+// (write, RMW or free), or both are SC fences (the SC clock), or both are
+// allocations (the location counter), or they are reports racing on the
+// same outcome name. A release/acquire fence conflicts with nothing. An
+// RMW against an access of another location does not conflict, which is
+// where CAS-loop-heavy library workloads keep their schedule freedom.
 func Conflicting(a, b Access) bool {
-	if a.Kind == AccNone || b.Kind == AccNone {
+	switch {
+	case a.Kind == AccNone || b.Kind == AccNone, a.Kind == AccFence || b.Kind == AccFence:
 		return false
-	}
-	if a.Kind == AccReport || b.Kind == AccReport {
+	case a.Kind == AccReport || b.Kind == AccReport:
 		return a.Kind == b.Kind && a.Name == b.Name
+	case a.Kind == AccFenceSC || b.Kind == AccFenceSC, a.Kind == AccAlloc || b.Kind == AccAlloc:
+		return a.Kind == b.Kind
 	}
-	if a.Kind == AccFence || b.Kind == AccFence ||
-		a.Kind == AccAlloc || b.Kind == AccAlloc ||
-		a.Kind == AccFree || b.Kind == AccFree {
-		return true
-	}
-	// Reads, writes, and RMWs carry their location: disjoint locations
-	// touch disjoint per-location histories and commute outright.
+	// Reads, writes, RMWs and frees carry their location: disjoint
+	// locations touch disjoint per-location state and commute outright.
 	if a.Loc != b.Loc {
 		return false
 	}

@@ -211,9 +211,8 @@ func (p *Plan) String() string {
 
 // PlanOracle binds a plan to a live Memory so conflict queries over
 // pending concrete accesses can resolve locations to their allocation
-// names. Source-DPOR consults it before waking sleepers (Refutes) and
-// before inserting backtrack points (MayConflict, via the machine's
-// invisible-step forcing).
+// names. Source-DPOR consults it before inserting backtrack points
+// (MayConflict, via the machine's invisible-step forcing).
 type PlanOracle struct {
 	plan *Plan
 	mem  *Memory
@@ -259,42 +258,4 @@ func (o *PlanOracle) MayConflict(t int, op Access) bool {
 		return true
 	}
 	return o.plan.MayTouch(t, o.mem.Name(op.Loc), kinds)
-}
-
-// Refutes reports whether a Conflicting(a, b) verdict of true is provably
-// spurious for the two pending accesses — the conservative dynamic oracle
-// treats allocations and frees as dependent with everything, but:
-//
-//   - an allocation's fresh location cannot be the already-allocated
-//     location of a pending read/write/RMW/free (location IDs are
-//     assigned in order, and neither side reads the allocation counter
-//     the way the other writes it), so the pair commutes;
-//   - two frees, or a free against a read/write/RMW, commute whenever
-//     their concrete locations differ (a free touches only its own
-//     location's freed flag).
-//
-// Fences are never refuted: SC fences order through the global SC clock
-// and the announcement does not distinguish SC from thread-local fences.
-// Refutation is only consulted when a plan is installed, so plan-off
-// exploration is bit-identical to the pre-plan explorer.
-func (o *PlanOracle) Refutes(a, b Access) bool {
-	if o == nil {
-		return false
-	}
-	if a.Kind == AccFence || b.Kind == AccFence {
-		return false
-	}
-	concrete := func(k AccessKind) bool {
-		return k == AccRead || k == AccWrite || k == AccRMW || k == AccFree
-	}
-	if a.Kind == AccAlloc {
-		return concrete(b.Kind)
-	}
-	if b.Kind == AccAlloc {
-		return concrete(a.Kind)
-	}
-	if (a.Kind == AccFree || b.Kind == AccFree) && concrete(a.Kind) && concrete(b.Kind) {
-		return a.Loc != b.Loc
-	}
-	return false
 }

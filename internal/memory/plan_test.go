@@ -94,7 +94,8 @@ func TestOracleMayConflict(t *testing.T) {
 	if o.MayConflict(1, wrY) {
 		t.Error("thread 1 never touches y")
 	}
-	// Fences and other non-location kinds are conservatively conflicting.
+	// Fences, allocations and other non-location kinds are conservatively
+	// conflicting.
 	if !o.MayConflict(1, Access{Kind: AccFence}) {
 		t.Error("fence must stay conservatively conflicting")
 	}
@@ -113,35 +114,33 @@ func TestOracleMayConflict(t *testing.T) {
 	}
 }
 
+// TestOracleRefutes pins that the pairs a plan oracle had to refute for
+// source-DPOR — an allocation against a concrete access, a free against
+// another location's access — are non-conflicts of Conflicting itself,
+// so they commute with no plan installed, while a free against its own
+// location and a genuine read/write race still conflict.
 func TestOracleRefutes(t *testing.T) {
-	o := NewPlanOracle(&Plan{Program: "p"}, planMem())
 	alloc := Access{Kind: AccAlloc, Loc: 1}
 	rd0 := Access{Kind: AccRead, Loc: 0}
 	wr0 := Access{Kind: AccWrite, Loc: 0}
 	free0 := Access{Kind: AccFree, Loc: 0}
 	free1 := Access{Kind: AccFree, Loc: 1}
-	fence := Access{Kind: AccFence}
+	sc := Access{Kind: AccFenceSC}
 
-	// The refutations are plan-content-independent: an allocation commutes
-	// with any concrete access, and frees commute with concrete accesses
-	// of other locations.
-	if !o.Refutes(alloc, rd0) || !o.Refutes(wr0, alloc) {
-		t.Error("alloc vs concrete access not refuted")
+	conflicts := func(a, b Access) bool { return Conflicting(a, b) || Conflicting(b, a) }
+	if conflicts(alloc, rd0) || conflicts(wr0, alloc) {
+		t.Error("alloc vs concrete access still conflicts")
 	}
-	if !o.Refutes(free1, rd0) || !o.Refutes(free0, free1) {
-		t.Error("free vs other-location access not refuted")
+	if conflicts(free1, rd0) || conflicts(free0, free1) {
+		t.Error("free vs other-location access still conflicts")
 	}
-	if o.Refutes(free0, rd0) {
-		t.Error("free vs same-location access wrongly refuted")
+	if !conflicts(free0, rd0) {
+		t.Error("free vs same-location access must conflict")
 	}
-	if o.Refutes(alloc, fence) || o.Refutes(fence, free0) {
-		t.Error("fences must never be refuted")
+	if conflicts(alloc, sc) || conflicts(sc, free0) || !conflicts(sc, sc) {
+		t.Error("an SC fence must conflict with SC fences only")
 	}
-	if o.Refutes(rd0, wr0) {
-		t.Error("genuine read-write conflict refuted")
-	}
-	var nilO *PlanOracle
-	if nilO.Refutes(alloc, rd0) {
-		t.Error("nil oracle must not refute")
+	if !conflicts(rd0, wr0) {
+		t.Error("genuine read-write conflict lost")
 	}
 }

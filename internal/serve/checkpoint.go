@@ -14,8 +14,11 @@ import (
 // CheckpointVersion identifies the checkpoint file layout; bump on
 // breaking changes so a daemon never misreads state written by an
 // incompatible build. Version 2 dropped the dedup visited set (and the
-// sleep POR mode) that version 1 files may hold.
-const CheckpointVersion = 2
+// sleep POR mode) that version 1 files may hold. Version 3 explores under
+// the precise conflict relation for fences, allocations and frees: a
+// frontier saved under the older, coarser relation names backtrack
+// points of a different decision tree.
+const CheckpointVersion = 3
 
 // Checkpoint is the durable state of one job at a quiescent pause point:
 // everything a restarted compassd needs to continue the job — or to

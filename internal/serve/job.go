@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -16,6 +17,14 @@ import (
 // DefaultCheckpointEvery is the default segment size: executions between
 // checkpoint opportunities.
 const DefaultCheckpointEvery = 2000
+
+// finishedJobsKept is how many finished jobs a Manager keeps in memory.
+// Each keeps its result and final telemetry snapshot, so without a cap a
+// long-lived daemon would grow with every job it finishes. Past the cap
+// the job that finished first leaves the table: with a state dir it
+// still answers Job from its last checkpoint, without one it is gone
+// like an unknown ID. A running job never leaves.
+const finishedJobsKept = 64
 
 // Config configures a Manager.
 type Config struct {
@@ -53,9 +62,12 @@ type Manager struct {
 	store *Store
 	stats *telemetry.Stats
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
+	mu    sync.Mutex
+	jobs  map[string]*Job
+	order []string
+	// finished lists the finished jobs in the table, oldest first (see
+	// finishedJobsKept).
+	finished []string
 	draining bool
 	wg       sync.WaitGroup
 
@@ -283,12 +295,41 @@ func (m *Manager) register(j *Job) error {
 	return nil
 }
 
-// Job looks up a job by ID.
-func (m *Manager) Job(id string) (*Job, bool) {
+// retire records that job id finished and drops the finished jobs
+// beyond finishedJobsKept from the table, the one that finished first
+// first.
+func (m *Manager) retire(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.finished = append(m.finished, id)
+	for len(m.finished) > finishedJobsKept {
+		old := m.finished[0]
+		m.finished = slices.Delete(m.finished, 0, 1)
+		delete(m.jobs, old)
+		m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == old })
+	}
+}
+
+// Job looks up a job by ID. A finished job that left the table (see
+// finishedJobsKept) is rebuilt from its last checkpoint when there is a
+// state dir: a done job's checkpoint is Done, a failed job's records its
+// error. The rebuilt job is not registered again.
+func (m *Manager) Job(id string) (*Job, bool) {
+	m.mu.Lock()
 	j, ok := m.jobs[id]
-	return j, ok
+	m.mu.Unlock()
+	if ok || m.store == nil {
+		return j, ok
+	}
+	cp, err := m.store.Load(id)
+	if err != nil || (!cp.Done && cp.Error == "") {
+		return nil, false
+	}
+	if j, _, err = m.restore(cp); err != nil {
+		return nil, false
+	}
+	j.finishRecorded(cp)
+	return j, true
 }
 
 // JobViews renders all jobs in submission order (resumed jobs first, in
@@ -439,9 +480,10 @@ func (j *Job) checkpoint(done bool, result *JobResult, segErr error) error {
 	return nil
 }
 
-// finalize moves the job to a terminal state and wakes waiters. The job
-// keeps its result and the final telemetry snapshot and drops its engine
-// and live sink (see finish).
+// finalize moves the job to a terminal state, lets the oldest finished
+// jobs beyond finishedJobsKept leave the table, and wakes waiters. The
+// job keeps its result and the final telemetry snapshot and drops its
+// engine and live sink (see finish).
 //
 //compass:accounting
 func (j *Job) finalize(status JobStatus, result *JobResult, err error) {
@@ -453,6 +495,7 @@ func (j *Job) finalize(status JobStatus, result *JobResult, err error) {
 		j.finish(status, result, err)
 	}
 	j.m.stats.JobDone(status == StatusFailed)
+	j.m.retire(j.ID)
 	j.closeSubs()
 	close(j.done)
 }
@@ -468,12 +511,79 @@ func (j *Job) finish(status JobStatus, result *JobResult, err error) {
 	j.eng, j.stats = nil, nil
 }
 
+// finishRecorded moves a job rebuilt from a checkpoint to the terminal
+// state the checkpoint records: failed when it records an error, done
+// otherwise.
+func (j *Job) finishRecorded(cp *Checkpoint) {
+	status := StatusDone
+	var err error
+	if cp.Error != "" {
+		status = StatusFailed
+		err = errors.New(cp.Error)
+	}
+	result := cp.Result
+	if result == nil {
+		result = j.eng.result()
+	}
+	j.finish(status, result, err)
+	close(j.done)
+}
+
+// restore rebuilds the job a checkpoint records, on this manager's
+// worker configuration, which may differ from the writer's. It returns
+// how many outstanding leases of a coordinator job it reclaimed, and
+// does not register the job.
+func (m *Manager) restore(cp *Checkpoint) (*Job, int, error) {
+	spec, w, err := cp.Spec.Normalize()
+	if err != nil {
+		return nil, 0, err
+	}
+	// Re-shard onto this server's configuration: worker count and
+	// segment size are non-semantic (excluded from the spec hash).
+	if m.cfg.Workers > 0 {
+		spec.Workers = m.cfg.Workers
+	}
+	stats := telemetry.New()
+	if cp.Telemetry != nil {
+		if stats, err = telemetry.Restore(*cp.Telemetry); err != nil {
+			return nil, 0, err
+		}
+	}
+	eng, err := newEngine(spec, w, stats, cp.Engine)
+	if err != nil {
+		return nil, 0, err
+	}
+	j := &Job{
+		ID:     cp.JobID,
+		Spec:   spec,
+		m:      m,
+		eng:    eng,
+		stats:  stats,
+		done:   make(chan struct{}),
+		status: StatusRunning,
+		runs:   eng.runs(),
+	}
+	reclaimed := 0
+	if spec.Coordinator {
+		if cp.Shard != nil {
+			// Bump the epoch and reclaim every outstanding lease: the
+			// crashed coordinator may have granted work it never saw
+			// returned, and any late return from the old epoch must be
+			// refused rather than double-counted.
+			j.shard, reclaimed = restoreShardState(spec, cp.Shard)
+		} else {
+			j.shard = newShardState(spec)
+		}
+	}
+	return j, reclaimed, nil
+}
+
 // Resume rebuilds jobs from the checkpoint store: finished jobs load as
-// terminal records, unfinished jobs continue from their last quiescent
-// state — on this manager's worker configuration, which may differ from
-// the writer's. Stale or unreadable checkpoints are skipped and
-// reported; they never crash the daemon or silently restart a job from
-// scratch.
+// terminal records, at most finishedJobsKept of them staying in memory,
+// and unfinished jobs continue from their last quiescent state — on
+// this manager's worker configuration, which may differ from the
+// writer's. Stale or unreadable checkpoints are skipped and reported;
+// they never crash the daemon or silently restart a job from scratch.
 //
 //compass:accounting
 func (m *Manager) Resume() (resumed, finished int, errs []error) {
@@ -490,72 +600,21 @@ func (m *Manager) Resume() (resumed, finished int, errs []error) {
 			errs = append(errs, err)
 			continue
 		}
-		spec, w, err := cp.Spec.Normalize()
+		j, reclaimed, err := m.restore(cp)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("checkpoint %s: %w", id, err))
 			continue
 		}
-		// Re-shard onto this server's configuration: worker count and
-		// segment size are non-semantic (excluded from the spec hash).
-		if m.cfg.Workers > 0 {
-			spec.Workers = m.cfg.Workers
-		}
-		stats := telemetry.New()
-		if cp.Telemetry != nil {
-			restored, err := telemetry.Restore(*cp.Telemetry)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("checkpoint %s: %w", id, err))
-				continue
-			}
-			stats = restored
-		}
-		eng, err := newEngine(spec, w, stats, cp.Engine)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("checkpoint %s: %w", id, err))
-			continue
-		}
-		j := &Job{
-			ID:     id,
-			Spec:   spec,
-			m:      m,
-			eng:    eng,
-			stats:  stats,
-			done:   make(chan struct{}),
-			status: StatusRunning,
-			runs:   eng.runs(),
-		}
-		if spec.Coordinator {
-			if cp.Shard != nil {
-				// Bump the epoch and reclaim every outstanding lease: the
-				// crashed coordinator may have granted work it never saw
-				// returned, and any late return from the old epoch must
-				// be refused rather than double-counted.
-				sh, reclaimed := restoreShardState(spec, cp.Shard)
-				j.shard = sh
-				for i := 0; i < reclaimed; i++ {
-					m.stats.LeaseReclaimed()
-				}
-			} else {
-				j.shard = newShardState(spec)
-			}
+		for i := 0; i < reclaimed; i++ {
+			m.stats.LeaseReclaimed()
 		}
 		if err := m.register(j); err != nil {
 			errs = append(errs, fmt.Errorf("checkpoint %s: %w", id, err))
 			continue
 		}
 		if cp.Done {
-			status := StatusDone
-			var jerr error
-			if cp.Error != "" {
-				status = StatusFailed
-				jerr = fmt.Errorf("%s", cp.Error)
-			}
-			result := cp.Result
-			if result == nil {
-				result = eng.result()
-			}
-			j.finish(status, result, jerr)
-			close(j.done)
+			j.finishRecorded(cp)
+			m.retire(j.ID)
 			finished++
 			continue
 		}

@@ -183,7 +183,7 @@ func TestKillResumeExhaustiveLib(t *testing.T) {
 	t.Parallel()
 	spec := JobSpec{Workload: "lib/msqueue", Mode: ModeExhaustive, POR: "source", Refine: true}
 	want := baseline(t, spec, 2)
-	got, cycles := runSegmented(t, t.TempDir(), spec, 500, []int{1, 4})
+	got, cycles := runSegmented(t, t.TempDir(), spec, 10, []int{1, 4})
 	if cycles < 3 {
 		t.Fatalf("job finished in %d cycles; segment size too large to exercise resume", cycles)
 	}

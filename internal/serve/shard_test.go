@@ -85,7 +85,7 @@ func TestShardTwoPeersMatchesSingleProcess(t *testing.T) {
 		every int
 	}{
 		{"litmus", JobSpec{Workload: "litmus/SB", POR: "off"}, 4},
-		{"lib", JobSpec{Workload: "lib/msqueue", Mode: ModeExhaustive, POR: "source", Refine: true}, 100},
+		{"lib", JobSpec{Workload: "lib/msqueue", Mode: ModeExhaustive, POR: "source", Refine: true}, 10},
 	}
 	for _, tc := range cases {
 		tc := tc

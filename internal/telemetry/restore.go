@@ -67,7 +67,6 @@ func Restore(snap Snapshot) (*Stats, error) {
 	}
 	e.PlanSites.Add(snap.Explore.PlanSites)
 	e.PlanChecks.Add(snap.Explore.PlanChecks)
-	e.PlanConflictsRefuted.Add(snap.Explore.PlanConflictsRefuted)
 
 	f := &s.Fuzz
 	f.Programs.Add(snap.Fuzz.Programs)

@@ -239,15 +239,9 @@ type ExploreStats struct {
 	// explorations (one (thread, site) entry each, recorded once per
 	// exploration with a plan).
 	PlanSites Counter
-	// PlanChecks counts consultations of the static plan oracle: wake
-	// decisions where a dynamic conflict verdict was tested for
-	// refutation, plus invisible-step queries over pending accesses.
+	// PlanChecks counts consultations of the static plan oracle: the
+	// invisible-step queries over pending reads, writes and RMWs.
 	PlanChecks Counter
-	// PlanConflictsRefuted counts conservative dynamic conflict verdicts
-	// the plan oracle refuted, each preventing a spurious sleeper wake
-	// (and therefore a spurious backtrack point). Always ≤ PlanChecks,
-	// which the snapshot validator enforces.
-	PlanConflictsRefuted Counter
 }
 
 // FuzzStats instruments a differential-fuzzing campaign.
@@ -436,15 +430,6 @@ func (s *Stats) PlanCheck() {
 	s.Explore.PlanChecks.Inc()
 }
 
-// PlanConflictRefuted records one conservative dynamic conflict verdict
-// refuted by the plan oracle (a spurious wake avoided).
-func (s *Stats) PlanConflictRefuted() {
-	if s == nil {
-		return
-	}
-	s.Explore.PlanConflictsRefuted.Inc()
-}
-
 // FuzzProgram records one generated campaign program.
 func (s *Stats) FuzzProgram() {
 	if s == nil {
@@ -546,7 +531,6 @@ func (s *Stats) Merge(o *Stats) {
 	e.WakeupTreeSize.merge(&oe.WakeupTreeSize)
 	e.PlanSites.Add(oe.PlanSites.Load())
 	e.PlanChecks.Add(oe.PlanChecks.Load())
-	e.PlanConflictsRefuted.Add(oe.PlanConflictsRefuted.Load())
 	f, of := &s.Fuzz, &o.Fuzz
 	f.Programs.Add(of.Programs.Load())
 	f.Execs.Add(of.Execs.Load())
@@ -611,8 +595,12 @@ type ExploreSnapshot struct {
 	WakeupTreeSize       HistogramSnapshot `json:"wakeup_tree_size"`
 	// Static access-plan effectiveness (0 unless a plan was installed;
 	// see internal/analysis/staticplan).
-	PlanSites            int64 `json:"plan_sites"`
-	PlanChecks           int64 `json:"plan_checks"`
+	PlanSites  int64 `json:"plan_sites"`
+	PlanChecks int64 `json:"plan_checks"`
+	// Retired with the plan oracle's wake refutation, whose alloc/free
+	// rule memory.Conflicting now applies itself, and always 0. Kept so
+	// the v1 layout is unchanged and the strict decoder still accepts
+	// the snapshots written while it existed.
 	PlanConflictsRefuted int64 `json:"plan_conflicts_refuted"`
 	// Retired with the state-space dedup layer and always 0. Kept so the
 	// v1 layout is unchanged and the strict decoder still accepts the
@@ -702,7 +690,6 @@ func (s *Stats) Snapshot() Snapshot {
 		WakeupTreeSize:       e.WakeupTreeSize.snapshot(),
 		PlanSites:            e.PlanSites.Load(),
 		PlanChecks:           e.PlanChecks.Load(),
-		PlanConflictsRefuted: e.PlanConflictsRefuted.Load(),
 	}
 	f := &s.Fuzz
 	snap.Fuzz = FuzzSnapshot{
@@ -807,7 +794,8 @@ func ValidateSnapshotJSON(data []byte) error {
 			e.WakeupTreeSize.Sum, e.PORRacesReversed)
 	}
 	if e := snap.Explore; e.PlanConflictsRefuted > e.PlanChecks {
-		// Every refutation is preceded by exactly one oracle consultation.
+		// In the snapshots written while the field counted, every
+		// refutation was preceded by exactly one oracle consultation.
 		return fmt.Errorf("telemetry snapshot: plan_conflicts_refuted %d > plan_checks %d",
 			e.PlanConflictsRefuted, e.PlanChecks)
 	}
