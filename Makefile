@@ -100,7 +100,8 @@ shardsmoke:
 
 # Quick microbenchmark pass: view cloning, release writes, the T1 effort
 # table, exhaustive MP, the logical-view joins, lib/deque's bytes and
-# allocations per exhaustive execution, and the library corpus's per
-# random execution. End-to-end performance claims come from perfbench.
+# allocations per exhaustive execution, the library corpus's per random
+# execution, and IRIW and STAR5's per unreduced execution, whole and in
+# segments. End-to-end performance claims come from perfbench.
 bench:
-	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive|RandomLibraryChecks' -benchmem . ./internal/view ./internal/memory
+	$(GO) test -run '^$$' -bench 'ViewClone16|ReleaseWrite|T1EffortTable|ExhaustiveMP|LogViewJoin32|ClockJoin|LibDequeExhaustive|RandomLibraryChecks|LitmusOffLong' -benchmem . ./internal/view ./internal/memory

@@ -308,6 +308,50 @@ func BenchmarkLibDequeExhaustive(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(execs), "allocs/exec")
 }
 
+// BenchmarkLitmusOffLong explores IRIW and STAR5 without reduction on
+// one worker, the two long litmus jobs compassd runs unreduced: whole
+// (litmus.Run), and as a job paused every 2,000 runs (litmus.JobState),
+// which is how compassd's segments and leases run them. One op is both
+// tests. It reports each execution's time, and what each execution
+// allocates, read from runtime.MemStats over the whole loop.
+func BenchmarkLitmusOffLong(b *testing.B) {
+	var long []litmus.Test
+	for _, t := range litmus.Suite() {
+		if t.Name == "IRIW" || t.Name == "STAR5" {
+			long = append(long, t)
+		}
+	}
+	for _, pause := range []int{0, 2000} {
+		name := "whole"
+		if pause > 0 {
+			name = "segments"
+		}
+		b.Run(name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			execs := 0
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, t := range long {
+					s := litmus.NewJob()
+					for !s.RunSegment(t, 0, pause, litmus.WithWorkers(1), litmus.WithPORMode(check.POROff)) {
+					}
+					if r := s.Finish(t); !r.OK() {
+						b.Fatalf("%s", r)
+					}
+					execs += s.Runs
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(execs), "ns/exec")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(execs), "B/exec")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(execs), "allocs/exec")
+		})
+	}
+}
+
 // BenchmarkRandomLibraryChecks checks every library workload of the
 // refinement corpus with seeded-random executions, the way compassd runs
 // a random library job: 200 executions each from the default seed, the

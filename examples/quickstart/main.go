@@ -38,8 +38,8 @@ func main() {
 
 	res := compass.CheckOptions{}.Runner(false).Run(prog, compass.NewRandomStrategy(*seed))
 	fmt.Printf("execution status: %v (%d machine steps)\n", res.Status, res.Steps)
-	for k, v := range res.Outcome {
-		fmt.Printf("  %s = %d\n", k, v)
+	for _, rep := range res.Reports() {
+		fmt.Printf("  %s = %d\n", rep.Name, rep.Value)
 	}
 
 	g := q.Recorder().Graph()

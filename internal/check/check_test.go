@@ -134,7 +134,7 @@ func TestMPQueueReportsRightValue(t *testing.T) {
 	if res.Status != machine.OK {
 		t.Fatalf("status %v: %v", res.Status, res.Err)
 	}
-	if v := res.Outcome["right"]; v != 41 && v != 42 {
-		t.Fatalf("right = %d", v)
+	if reps := res.Reports(); len(reps) != 1 || reps[0].Name != "right" || reps[0].Value != 41 && reps[0].Value != 42 {
+		t.Fatalf("reports = %v, want right=41 or right=42", reps)
 	}
 }

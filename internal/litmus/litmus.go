@@ -10,8 +10,11 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -84,18 +87,72 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// outcomeKey renders an outcome map canonically: "a=0 b=1" in key order.
-func outcomeKey(o map[string]int64) string {
-	keys := make([]string, 0, len(o))
-	for k := range o {
-		keys = append(keys, k)
+// outcomeTally counts one worker's executions of one exploration
+// segment: OK runs by outcome, and budget-exhausted runs. An outcome is
+// looked up by the raw bytes of its report record, so only the first run
+// with a given record renders its canonical key. Its table is built at
+// the first OK run, and nothing else is allocated after that unless a run
+// reports a record not seen before.
+type outcomeTally struct {
+	index     map[string]int // raw record -> entry in counts
+	counts    []outcomeCount
+	raw       []byte // the current run's raw record, reused
+	discarded int
+}
+
+// outcomeCount is one distinct report record: its canonical key and how
+// many runs reported it.
+type outcomeCount struct {
+	key string
+	n   int
+}
+
+// visit counts one execution.
+func (w *outcomeTally) visit(r *machine.Result) bool {
+	switch r.Status {
+	case machine.OK:
+		reps := r.Reports()
+		raw := w.raw[:0]
+		for _, rep := range reps {
+			raw = binary.AppendUvarint(raw, uint64(len(rep.Name)))
+			raw = append(raw, rep.Name...)
+			raw = binary.LittleEndian.AppendUint64(raw, uint64(rep.Value))
+		}
+		w.raw = raw
+		if i, ok := w.index[string(raw)]; ok {
+			w.counts[i].n++
+			return true
+		}
+		if w.index == nil {
+			w.index = map[string]int{}
+		}
+		w.index[string(raw)] = len(w.counts)
+		w.counts = append(w.counts, outcomeCount{key: renderOutcome(reps), n: 1})
+	case machine.Budget:
+		w.discarded++
 	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, o[k])
+	return true
+}
+
+// renderOutcome renders a report record canonically, "a=0 b=1": each
+// name once with the last value reported for it, in name order, and ""
+// for a run that reported nothing.
+func renderOutcome(reps []machine.Report) string {
+	sorted := slices.Clone(reps)
+	slices.SortStableFunc(sorted, func(a, b machine.Report) int { return strings.Compare(a.Name, b.Name) })
+	var b strings.Builder
+	for i, rep := range sorted {
+		if i+1 < len(sorted) && sorted[i+1].Name == rep.Name {
+			continue // a later report of the name wins
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(rep.Name)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatInt(rep.Value, 10))
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // Option configures one exhaustive litmus exploration. The zero
@@ -207,24 +264,24 @@ func (s *JobState) RunSegment(t Test, maxRuns, pauseRuns int, opts ...Option) bo
 		s.Done = true
 		return true
 	}
+	// Each worker counts into its own tally, folded into s once the
+	// workers have returned.
 	var mu sync.Mutex
+	var tallies []*outcomeTally
 	er := machine.ExploreParallel(eo,
 		func() (func() machine.Program, func(*machine.Result) bool) {
-			return t.Build, func(r *machine.Result) bool {
-				switch r.Status {
-				case machine.OK:
-					key := outcomeKey(r.Outcome)
-					mu.Lock()
-					s.Outcomes[key]++
-					mu.Unlock()
-				case machine.Budget:
-					mu.Lock()
-					s.Discarded++
-					mu.Unlock()
-				}
-				return true
-			}
+			w := new(outcomeTally)
+			mu.Lock()
+			tallies = append(tallies, w)
+			mu.Unlock()
+			return t.Build, w.visit
 		})
+	for _, w := range tallies {
+		for _, c := range w.counts {
+			s.Outcomes[c.key] += c.n
+		}
+		s.Discarded += w.discarded
+	}
 	s.Runs += er.Runs
 	s.Complete = er.Complete
 	s.Frontier = er.Frontier

@@ -17,28 +17,27 @@ import "encoding/json"
 // A Frontier is owned by a single explorer at a time and is not safe for
 // concurrent use; the parallel explorer guards it with its own mutex.
 type Frontier struct {
-	// prefixes is the LIFO stack of pinned prefixes (deepest popped
-	// first, mirroring the sequential DFS order). A nil prefix is the
-	// root: the whole tree.
-	prefixes [][]Decision
+	// The LIFO stack of pinned prefixes (deepest popped first, mirroring
+	// the sequential DFS order), stored back to back in one array so that
+	// pushing a prefix allocates nothing once the array has grown:
+	// prefix i is decisions[ends[i-1]:ends[i]] (from 0 for i == 0). An
+	// empty prefix is the root: the whole tree.
+	decisions []Decision
+	ends      []int
 }
 
 // NewFrontier returns the frontier of an unstarted exploration: the root
 // subtree only.
-func NewFrontier() *Frontier { return &Frontier{prefixes: [][]Decision{nil}} }
+func NewFrontier() *Frontier { return &Frontier{ends: []int{0}} }
 
 // RestoreFrontier rebuilds a frontier from prefixes saved by Prefixes (or
-// decoded from a checkpoint). The slices are deep-copied, so the caller's
+// decoded from a checkpoint). The slices are copied, so the caller's
 // buffers can be reused.
 func RestoreFrontier(prefixes [][]Decision) *Frontier {
-	f := &Frontier{prefixes: make([][]Decision, len(prefixes))}
-	for i, p := range prefixes {
-		if p == nil {
-			continue
-		}
-		cp := make([]Decision, len(p))
-		copy(cp, p)
-		f.prefixes[i] = cp
+	f := &Frontier{ends: make([]int, 0, len(prefixes))}
+	for _, p := range prefixes {
+		f.decisions = append(f.decisions, p...)
+		f.ends = append(f.ends, len(f.decisions))
 	}
 	return f
 }
@@ -48,50 +47,78 @@ func (f *Frontier) Len() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.prefixes)
+	return len(f.ends)
 }
 
 // Empty reports whether no work remains.
 func (f *Frontier) Empty() bool { return f.Len() == 0 }
 
+// prefix returns prefix i, aliasing the stack's array.
+func (f *Frontier) prefix(i int) []Decision {
+	start := 0
+	if i > 0 {
+		start = f.ends[i-1]
+	}
+	return f.decisions[start:f.ends[i]]
+}
+
 // Prefixes returns a deep copy of the pending prefixes, deepest-first in
-// pop order. The copy is safe to serialize or to feed to RestoreFrontier
-// while the original keeps exploring.
+// pop order, with the root as nil. The copy is safe to serialize or to
+// feed to RestoreFrontier while the original keeps exploring.
 func (f *Frontier) Prefixes() [][]Decision {
 	if f == nil {
 		return nil
 	}
-	out := make([][]Decision, len(f.prefixes))
-	for i, p := range f.prefixes {
-		if p == nil {
-			continue
+	out := make([][]Decision, len(f.ends))
+	for i := range out {
+		if p := f.prefix(i); len(p) > 0 {
+			out[i] = append([]Decision(nil), p...)
 		}
-		cp := make([]Decision, len(p))
-		copy(cp, p)
-		out[i] = cp
 	}
 	return out
 }
 
 // Clone returns an independent deep copy.
-func (f *Frontier) Clone() *Frontier { return RestoreFrontier(f.Prefixes()) }
+func (f *Frontier) Clone() *Frontier {
+	if f == nil {
+		return RestoreFrontier(nil)
+	}
+	return &Frontier{decisions: append([]Decision(nil), f.decisions...), ends: append([]int(nil), f.ends...)}
+}
 
-// push appends children onto the work stack (LIFO: the last pushed is
-// popped first).
-func (f *Frontier) push(children [][]Decision) { f.prefixes = append(f.prefixes, children...) }
+// pushSiblings pushes the untaken siblings of trace's decisions from
+// depth from through top: for each such decision, shallow to deep, each
+// pick after the taken one becomes a pinned prefix, the trace up to that
+// decision with the pick replaced. The LIFO stack then pops them
+// deepest-first, mirroring the sequential DFS order. It returns the number
+// of prefixes pushed.
+func (f *Frontier) pushSiblings(trace []Decision, from, top int) int {
+	n := 0
+	for i := from; i <= top; i++ {
+		for p := trace[i].Pick + 1; p < trace[i].N; p++ {
+			f.decisions = append(f.decisions, trace[:i]...)
+			f.decisions = append(f.decisions, Decision{N: trace[i].N, Pick: p})
+			f.ends = append(f.ends, len(f.decisions))
+			n++
+		}
+	}
+	return n
+}
 
-// pop removes and returns the most recently pushed prefix; callers check
-// Empty first.
-func (f *Frontier) pop() []Decision {
-	n := len(f.prefixes)
-	p := f.prefixes[n-1]
-	f.prefixes = f.prefixes[:n-1]
-	return p
+// pop removes the most recently pushed prefix and returns it appended to
+// dst[:0]: the stack's array is pushed over later, so the caller keeps its
+// own copy. Callers check Empty first.
+func (f *Frontier) pop(dst []Decision) []Decision {
+	n := len(f.ends) - 1
+	dst = append(dst[:0], f.prefix(n)...)
+	f.decisions = f.decisions[:len(f.decisions)-len(dst)]
+	f.ends = f.ends[:n]
+	return dst
 }
 
 // MarshalJSON encodes the frontier as a JSON array of decision sequences
 // (the root prefix encodes as null).
-func (f *Frontier) MarshalJSON() ([]byte, error) { return json.Marshal(f.prefixes) }
+func (f *Frontier) MarshalJSON() ([]byte, error) { return json.Marshal(f.Prefixes()) }
 
 // UnmarshalJSON decodes a frontier encoded by MarshalJSON.
 func (f *Frontier) UnmarshalJSON(data []byte) error {
@@ -99,6 +126,6 @@ func (f *Frontier) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &prefixes); err != nil {
 		return err
 	}
-	f.prefixes = prefixes
+	*f = *RestoreFrontier(prefixes)
 	return nil
 }

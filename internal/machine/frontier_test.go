@@ -3,6 +3,8 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"compass/internal/telemetry"
@@ -24,7 +26,8 @@ func outcomeHistogram(t *testing.T, workers, pauseRuns int, por PORMode, stats *
 		res := ExploreParallel(opts, func() (func() Program, func(*Result) bool) {
 			return sbProgram, func(r *Result) bool {
 				if r.Status == OK {
-					outcomes[fmt.Sprint(r.Outcome["r1"], r.Outcome["r2"])]++
+					o := reported(r)
+					outcomes[fmt.Sprint(o["r1"], o["r2"])]++
 				}
 				return true
 			}
@@ -162,8 +165,81 @@ func TestFrontierRoundTrip(t *testing.T) {
 	}
 	// Clone is deep: popping from the clone leaves the original intact.
 	c := f.Clone()
-	c.pop()
+	c.pop(nil)
 	if f.Len() != 3 || c.Len() != 2 {
 		t.Fatalf("clone aliases original: orig=%d clone=%d", f.Len(), c.Len())
+	}
+}
+
+// TestFlatFrontierMatchesReference drives the flat frontier and a
+// [][]Decision stack, one prefix per slice as the frontier used to hold
+// them, through the same seeded random pushes and pops. Each pop must
+// return the reference's top, and after every step Len, Prefixes and the
+// JSON encoding (the root as null) must be the reference's. Every few
+// steps a Clone is mutated, which must leave the frontier as it was, and
+// the frontier is replaced by its JSON round trip.
+func TestFlatFrontierMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	f, ref := NewFrontier(), [][]Decision{nil}
+	var buf []Decision
+	pops := 0
+	for step := range 3000 {
+		if len(ref) > 100 || len(ref) > 0 && rng.Intn(3) == 0 {
+			want := ref[len(ref)-1]
+			ref = ref[:len(ref)-1]
+			if buf = f.pop(buf); !reflect.DeepEqual(append([]Decision(nil), buf...), want) {
+				t.Fatalf("step %d: popped %v, want %v", step, buf, want)
+			}
+			pops++
+		} else {
+			trace := make([]Decision, rng.Intn(8))
+			for i := range trace {
+				trace[i].N = 1 + rng.Intn(4)
+				trace[i].Pick = rng.Intn(trace[i].N)
+			}
+			from := rng.Intn(len(trace) + 1)
+			top := from - 1 + rng.Intn(len(trace)-from+1)
+			want := 0
+			for i := from; i <= top; i++ {
+				for p := trace[i].Pick + 1; p < trace[i].N; p++ {
+					child := make([]Decision, i+1)
+					copy(child, trace[:i])
+					child[i] = Decision{N: trace[i].N, Pick: p}
+					ref = append(ref, child)
+					want++
+				}
+			}
+			if got := f.pushSiblings(trace, from, top); got != want {
+				t.Fatalf("step %d: pushed %d siblings, want %d", step, got, want)
+			}
+		}
+		if f.Len() != len(ref) || !reflect.DeepEqual(f.Prefixes(), ref) {
+			t.Fatalf("step %d: frontier holds %v, want %v", step, f.Prefixes(), ref)
+		}
+		got, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := json.Marshal(ref); string(got) != string(want) {
+			t.Fatalf("step %d: encoded %s, want %s", step, got, want)
+		}
+		if step%50 == 0 {
+			c := f.Clone()
+			c.pushSiblings([]Decision{{N: 3}}, 0, 0)
+			for !c.Empty() {
+				c.pop(nil)
+			}
+			if !reflect.DeepEqual(f.Prefixes(), ref) {
+				t.Fatalf("step %d: draining a clone changed the frontier to %v", step, f.Prefixes())
+			}
+			g := new(Frontier)
+			if err := json.Unmarshal(got, g); err != nil {
+				t.Fatal(err)
+			}
+			f = g
+		}
+	}
+	if pops < 500 || len(ref) < 10 {
+		t.Fatalf("%d pops, %d prefixes left: the walk did not exercise the stack", pops, len(ref))
 	}
 }

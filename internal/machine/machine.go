@@ -75,15 +75,22 @@ func (s Status) String() string {
 
 // Result is the outcome of one execution.
 type Result struct {
-	Status  Status
-	Err     error
-	Steps   int
-	Outcome map[string]int64 // values reported by Thread.Report
+	Status Status
+	Err    error
+	Steps  int
 	// Events is the typed per-step operation log (only when Runner.Trace
 	// is set). Use Trace() for the legacy string rendering.
 	Events      []StepEvent
 	decisions   []Decision // see Decisions
 	stepThreads []int      // see StepThreads
+	reports     []Report   // see Reports
+}
+
+// Report is one Thread.Report call of a run: the name and the value
+// reported.
+type Report struct {
+	Name  string
+	Value int64
 }
 
 // Decisions returns the decision sequence of a run an explorer made (nil
@@ -100,6 +107,14 @@ func (r *Result) Decisions() []Decision { return r.decisions }
 // like Decisions, and for a run on a Kept machine only until its next
 // run; a Result from Runner.Run owns it.
 func (r *Result) StepThreads() []int { return r.stepThreads }
+
+// Reports returns the run's Thread.Report calls in the order they were
+// made, a name reported twice included twice; a histogram keyed by
+// outcome takes the last value of each name. Like StepThreads it points
+// into the machine's record: for an explorer's run it is valid only while
+// the explorer visits the result, and for a run on a Kept machine only
+// until its next run; a Result from Runner.Run owns it.
+func (r *Result) Reports() []Report { return r.reports }
 
 // Trace renders the recorded events as the legacy human-readable
 // per-step lines (one string per traced operation).
@@ -374,10 +389,11 @@ func (t *Thread) Yield() {
 }
 
 // Report records a named outcome value for this execution (e.g. the value
-// returned by a dequeue), for litmus-style outcome histograms.
+// returned by a dequeue), for litmus-style outcome histograms. The run's
+// reports are listed by Result.Reports.
 func (t *Thread) Report(name string, v int64) {
 	t.step(memory.Access{Kind: memory.AccReport, Name: name})
-	t.mc.outcome[name] = v
+	t.mc.reports = append(t.mc.reports, Report{Name: name, Value: v})
 }
 
 // Failf aborts the execution, marking it Failed. Used by programs to
@@ -409,12 +425,13 @@ type controller struct {
 	ready   []int            // scratch for runnable, reused across grants
 	steps   int
 	budget  int
-	outcome map[string]int64
 	trace   []StepEvent // per-step op log (only when tracing is enabled)
 	tracing bool
 	// stepThreads records the thread of every memory step (see memStep
-	// and Result.StepThreads); reset keeps its array.
+	// and Result.StepThreads), and reports every Thread.Report call (see
+	// Result.Reports); reset keeps both arrays.
 	stepThreads []int
+	reports     []Report
 	// keep marks a Kept machine: each thread's coroutine then outlives
 	// its body and runs the thread's next body, of this run or the next.
 	// unwinding is set while unwind ends the bodies still parked when a
@@ -613,8 +630,8 @@ func (r *Runner) Keep() *Kept { return &Kept{r: r, c: &controller{keep: true}} }
 
 // Run executes prog under strat on the kept machine, as Runner.Run does
 // on a fresh one, and surfaces a panic the same way. The Result is valid
-// only until the next Run: its StepThreads points into the machine's
-// record, which the next run overwrites. Its Events and Outcome are the
+// only until the next Run: its StepThreads and Reports point into the
+// machine's records, which the next run overwrites. Its Events are the
 // caller's.
 func (k *Kept) Run(prog Program, strat Strategy) *Result {
 	res := k.r.run(k.c, prog, strat, k.logCap)
@@ -646,15 +663,15 @@ func (r *Runner) run(c *controller, prog Program, strat Strategy, logCap int) *R
 		// (wakes) this run's wakeup bookkeeping carried.
 		c.stats.PORRunWakeups(c.wakes)
 	}
-	return &Result{Status: c.status, Err: c.err, Steps: c.steps, Outcome: c.outcome, Events: c.trace, stepThreads: c.stepThreads}
+	return &Result{Status: c.status, Err: c.err, Steps: c.steps, Events: c.trace, stepThreads: c.stepThreads, reports: c.reports}
 }
 
 // reset prepares c to run prog under strat for r. A fresh controller and
 // a recycled one take this one path: every field a run reads is set here,
 // while the memory, the threads with their views, and the per-thread and
 // scratch buffers keep their storage from the run before, and so do the
-// threads' coroutines on a kept machine. The outcome map and the
-// step-event log are fresh, because the Result takes them.
+// threads' coroutines on a kept machine. The step-event log is fresh,
+// because the Result takes it.
 //
 //compass:accounting
 func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) {
@@ -692,7 +709,6 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 	if c.budget <= 0 {
 		c.budget = 100000
 	}
-	c.outcome = map[string]int64{}
 	c.trace, c.tracing = nil, r.Trace
 	if c.tracing && logCap > 0 {
 		c.trace = make([]StepEvent, 0, min(logCap, c.budget))
@@ -700,7 +716,7 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 	if c.stepThreads == nil {
 		c.stepThreads = make([]int, 0, 64)
 	}
-	c.stepThreads = c.stepThreads[:0]
+	c.stepThreads, c.reports = c.stepThreads[:0], c.reports[:0]
 	c.scheduling, c.granted = false, 0
 	c.ended, c.status, c.err = false, OK, nil
 

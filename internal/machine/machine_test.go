@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,8 +34,8 @@ func TestSequentialProgram(t *testing.T) {
 	if r.Status != OK {
 		t.Fatalf("status = %v, err = %v", r.Status, r.Err)
 	}
-	if r.Outcome["x"] != 6 {
-		t.Fatalf("x = %d, want 6", r.Outcome["x"])
+	if reported(r)["x"] != 6 {
+		t.Fatalf("x = %d, want 6", reported(r)["x"])
 	}
 }
 
@@ -100,7 +101,8 @@ func collectMP(t *testing.T, flagWrite, flagRead memory.Mode) map[string]int {
 		if r.Status != OK {
 			t.Fatalf("status = %v err = %v", r.Status, r.Err)
 		}
-		outcomes[fmt.Sprintf("f=%d d=%d", r.Outcome["f"], r.Outcome["d"])]++
+		o := reported(r)
+		outcomes[fmt.Sprintf("f=%d d=%d", o["f"], o["d"])]++
 		return true
 	})
 	if !res.Complete {
@@ -152,7 +154,7 @@ func TestStoreBufferingAllowed(t *testing.T) {
 	}
 	both0 := 0
 	res := Explore(build, ExploreOpts{MaxRuns: 100000}, func(r *Result) bool {
-		if r.Outcome["r1"] == 0 && r.Outcome["r2"] == 0 {
+		if o := reported(r); o["r1"] == 0 && o["r2"] == 0 {
 			both0++
 		}
 		return true
@@ -185,7 +187,8 @@ func TestCoherenceCoRR(t *testing.T) {
 		}
 	}
 	res := Explore(build, ExploreOpts{MaxRuns: 100000}, func(r *Result) bool {
-		a, b := r.Outcome["a"], r.Outcome["b"]
+		o := reported(r)
+		a, b := o["a"], o["b"]
 		if a == 2 && b == 1 {
 			t.Fatalf("coherence violation: read 2 then 1")
 		}
@@ -279,7 +282,7 @@ func TestRandomReplayIsDeterministic(t *testing.T) {
 		if r.Status != OK {
 			t.Fatalf("status = %v", r.Status)
 		}
-		return r.Outcome["sum"]
+		return reported(r)["sum"]
 	}
 	for seed := int64(0); seed < 20; seed++ {
 		if run(seed) != run(seed) {
@@ -450,8 +453,8 @@ func TestRecordedReplaysIdentically(t *testing.T) {
 
 		replay := ReplayStrategy(ds)
 		r2 := runner.Run(build(), replay)
-		if r1.Status != r2.Status || fmt.Sprint(r1.Outcome) != fmt.Sprint(r2.Outcome) {
-			t.Fatalf("seed %d: replay diverged: %v/%v vs %v/%v", seed, r1.Status, r1.Outcome, r2.Status, r2.Outcome)
+		if r1.Status != r2.Status || !slices.Equal(r1.Reports(), r2.Reports()) {
+			t.Fatalf("seed %d: replay diverged: %v/%v vs %v/%v", seed, r1.Status, r1.Reports(), r2.Status, r2.Reports())
 		}
 		if fmt.Sprint(replay.Trace) != fmt.Sprint(rec.Trace) {
 			t.Fatalf("seed %d: replayed decisions differ:\n%v\n%v", seed, replay.Trace, rec.Trace)

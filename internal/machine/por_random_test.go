@@ -129,7 +129,7 @@ func verdicts(build func() Program, por PORMode, maxRuns int) (outcomes, aborts 
 		var uaf *memory.UAFError
 		switch {
 		case r.Status == OK:
-			seenOK[outcomeString(r.Outcome)] = true
+			seenOK[outcomeString(reported(r))] = true
 		case r.Status == Racy && errors.As(r.Err, &uaf):
 			seenAbort["uaf"] = true
 		case r.Status == Racy:

@@ -18,7 +18,7 @@ func outcomeSet(t *testing.T, build func() Program, opts ExploreOpts) ([]string,
 	seen := map[string]bool{}
 	res := Explore(build, opts, func(r *Result) bool {
 		if r.Status == OK {
-			seen[outcomeString(r.Outcome)] = true
+			seen[outcomeString(reported(r))] = true
 		}
 		return true
 	})
@@ -40,6 +40,16 @@ func sleepCounters(s *telemetry.Stats) string {
 	e := s.Snapshot().Explore
 	return fmt.Sprintf("skipped=%d stale-reads=%d sleep-set-size=%+v",
 		e.PORBranchesSkipped, e.PORStaleReadsSkipped, e.SleepSetSize)
+}
+
+// reported returns r's outcome: each name it reported, with the last
+// value reported for it.
+func reported(r *Result) map[string]int64 {
+	o := map[string]int64{}
+	for _, rep := range r.Reports() {
+		o[rep.Name] = rep.Value
+	}
+	return o
 }
 
 func outcomeString(o map[string]int64) string {
@@ -224,7 +234,7 @@ func TestPORParallelMatchesSequential(t *testing.T) {
 					return tc.build, func(r *Result) bool {
 						if r.Status == OK {
 							<-mu
-							parSeen[outcomeString(r.Outcome)] = true
+							parSeen[outcomeString(reported(r))] = true
 							mu <- struct{}{}
 						}
 						return true
@@ -331,7 +341,7 @@ func TestSourceReadFloorPrunes(t *testing.T) {
 	seen := map[string]bool{}
 	res := Explore(build, ExploreOpts{POR: PORSource, Stats: st}, func(r *Result) bool {
 		if r.Status == OK {
-			seen[outcomeString(r.Outcome)] = true
+			seen[outcomeString(reported(r))] = true
 		}
 		return true
 	})

@@ -3,7 +3,6 @@ package machine_test
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -39,6 +38,16 @@ func withDigest(prog machine.Program) machine.Program {
 		th.Report("memory steps", int64(m.Step()))
 	}
 	return prog
+}
+
+// memorySteps returns the memory's step count, which withDigest's final
+// phase reports last (-1 when it is not the last report).
+func memorySteps(r *machine.Result) int64 {
+	reps := r.Reports()
+	if len(reps) == 0 || reps[len(reps)-1].Name != "memory steps" {
+		return -1
+	}
+	return reps[len(reps)-1].Value
 }
 
 // TestRecycledRunsMatchFreshReplays: the explorers run every execution on
@@ -154,14 +163,14 @@ func replayDiff(build func() machine.Program, por machine.PORMode, budget int, r
 	switch {
 	case got.Status != r.Status || got.Steps != r.Steps:
 		return fmt.Errorf("recycled run %v after %d steps, fresh replay %v after %d", r.Status, r.Steps, got.Status, got.Steps)
-	case !maps.Equal(got.Outcome, r.Outcome):
-		return fmt.Errorf("recycled run reported %v, fresh replay %v", r.Outcome, got.Outcome)
+	case !slices.Equal(got.Reports(), r.Reports()):
+		return fmt.Errorf("recycled run reported %v, fresh replay %v", r.Reports(), got.Reports())
 	case !slices.Equal(got.Trace(), r.Trace()):
 		return fmt.Errorf("recycled run traced\n%q\nfresh replay\n%q", r.Trace(), got.Trace())
 	case !slices.Equal(got.StepThreads(), r.StepThreads()):
 		return fmt.Errorf("recycled run stepped threads %v, fresh replay %v", r.StepThreads(), got.StepThreads())
-	case r.Status == machine.OK && int64(len(r.StepThreads())) != r.Outcome["memory steps"]:
-		return fmt.Errorf("%d memory steps, but %d in the step-thread record", r.Outcome["memory steps"], len(r.StepThreads()))
+	case r.Status == machine.OK && int64(len(r.StepThreads())) != memorySteps(r):
+		return fmt.Errorf("%d memory steps, but %d in the step-thread record", memorySteps(r), len(r.StepThreads()))
 	}
 	return nil
 }
@@ -190,12 +199,12 @@ func randomRunsMatchFresh(t *testing.T, build func() machine.Program, runner *ma
 			switch {
 			case got.Status != r.Status || got.Steps != r.Steps || fmt.Sprint(got.Err) != fmt.Sprint(r.Err):
 				t.Fatalf("seed %d, bias %v: kept run %v (%v) after %d steps, fresh run %v (%v) after %d", seed, bias, r.Status, r.Err, r.Steps, got.Status, got.Err, got.Steps)
-			case !maps.Equal(got.Outcome, r.Outcome):
-				t.Fatalf("seed %d, bias %v: kept run reported %v, fresh run %v", seed, bias, r.Outcome, got.Outcome)
+			case !slices.Equal(got.Reports(), r.Reports()):
+				t.Fatalf("seed %d, bias %v: kept run reported %v, fresh run %v", seed, bias, r.Reports(), got.Reports())
 			case !slices.Equal(got.StepThreads(), r.StepThreads()):
 				t.Fatalf("seed %d, bias %v: kept run stepped threads %v, fresh run %v", seed, bias, r.StepThreads(), got.StepThreads())
-			case r.Status == machine.OK && int64(len(r.StepThreads())) != r.Outcome["memory steps"]:
-				t.Fatalf("seed %d, bias %v: %d memory steps, but %d in the step-thread record", seed, bias, r.Outcome["memory steps"], len(r.StepThreads()))
+			case r.Status == machine.OK && int64(len(r.StepThreads())) != memorySteps(r):
+				t.Fatalf("seed %d, bias %v: %d memory steps, but %d in the step-thread record", seed, bias, memorySteps(r), len(r.StepThreads()))
 			}
 		}
 	}

@@ -375,9 +375,10 @@ func (e *parallelExplorer) recoverWorker() {
 	e.cond.Broadcast()
 }
 
-// next claims the deepest unexplored prefix, blocking while the frontier
-// is empty but runs are still in flight (they may push new prefixes).
-func (e *parallelExplorer) next() ([]Decision, bool) {
+// next claims the deepest unexplored prefix, copied into buf, blocking
+// while the frontier is empty but runs are still in flight (they may push
+// new prefixes).
+func (e *parallelExplorer) next(buf []Decision) ([]Decision, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
@@ -389,7 +390,7 @@ func (e *parallelExplorer) next() ([]Decision, bool) {
 				e.paused = true
 				return nil, false
 			}
-			prefix := e.frontier.pop()
+			prefix := e.frontier.pop(buf)
 			e.inflight++
 			e.runs++
 			e.opts.Stats.PrefixClaimed(len(prefix))
@@ -402,11 +403,18 @@ func (e *parallelExplorer) next() ([]Decision, bool) {
 	}
 }
 
-// done publishes the children of a completed run and wakes waiting workers.
-func (e *parallelExplorer) done(children [][]Decision, keep bool) {
+// done publishes the children of a completed run and wakes waiting
+// workers. The children are the untaken siblings of trace's decisions
+// from depth from through top, pushed straight from the trace (see
+// Frontier.pushSiblings); a run whose visit stopped the exploration
+// (keep false) pushes none.
+func (e *parallelExplorer) done(trace []Decision, from, top int, keep bool) {
 	e.mu.Lock()
-	e.frontier.push(children)
-	e.opts.Stats.ChildrenPushed(len(children), e.frontier.Len())
+	children := 0
+	if keep {
+		children = e.frontier.pushSiblings(trace, from, top)
+	}
+	e.opts.Stats.ChildrenPushed(children, e.frontier.Len())
 	e.inflight--
 	if !keep {
 		e.stopped = true
@@ -424,16 +432,16 @@ func (e *parallelExplorer) done(children [][]Decision, keep bool) {
 func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool) {
 	runner := &Runner{Budget: e.opts.Budget, Trace: e.opts.Trace, Stats: e.opts.Stats, POR: e.opts.POR, Plan: e.opts.Plan}
 	// One kept machine serves every run of this worker, its thread
-	// coroutines living until the worker returns, and one decision
-	// buffer: children copy out of it before they reach the shared
-	// frontier.
+	// coroutines living until the worker returns, and two decision
+	// buffers: the claimed prefix, copied out of the shared frontier, and
+	// the run's trace, whose children the frontier copies in.
 	m := runner.Keep()
 	defer m.Close()
-	var buf []Decision
+	var prefix, buf []Decision
 	strat := &TraceStrategy{}
 	for {
-		prefix, ok := e.next()
-		if !ok {
+		var ok bool
+		if prefix, ok = e.next(prefix); !ok {
 			return
 		}
 		strat.prefix, strat.pos, strat.Trace = prefix, 0, buf[:0]
@@ -442,28 +450,14 @@ func (e *parallelExplorer) worker(build func() Program, visit func(*Result) bool
 		buf = strat.Trace
 		e.opts.Stats.ExecDone(uint8(r.Status), r.Steps)
 		keep := visit(r)
-		var children [][]Decision
-		if keep {
-			// Unexplored branches of this trace: for every decision at or
-			// below the pinned prefix, each untaken pick becomes a new
-			// pinned prefix. Pushed shallow-to-deep so the LIFO frontier
-			// pops deepest-first, mirroring the sequential DFS order.
-			trace := strat.Trace
-			top := len(trace) - 1
-			if e.opts.MaxDepth > 0 && top >= e.opts.MaxDepth {
-				top = e.opts.MaxDepth - 1
-				e.opts.Stats.ExploreDepthCapped()
-			}
-			for i := len(prefix); i <= top; i++ {
-				for p := trace[i].Pick + 1; p < trace[i].N; p++ {
-					child := make([]Decision, i+1)
-					copy(child, trace[:i])
-					child[i] = Decision{N: trace[i].N, Pick: p}
-					children = append(children, child)
-				}
-			}
+		// Unexplored branches of this trace: every decision at or below
+		// the pinned prefix, up to the depth cap.
+		top := len(buf) - 1
+		if keep && e.opts.MaxDepth > 0 && top >= e.opts.MaxDepth {
+			top = e.opts.MaxDepth - 1
+			e.opts.Stats.ExploreDepthCapped()
 		}
-		e.done(children, keep)
+		e.done(buf, len(prefix), top, keep)
 		if !keep {
 			return
 		}

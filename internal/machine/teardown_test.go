@@ -1,8 +1,8 @@
 package machine
 
 import (
-	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -291,9 +291,9 @@ func TestDeferredStepDuringUnwind(t *testing.T) {
 	Explore(build, ExploreOpts{Budget: budget, MaxRuns: 20}, func(r *Result) bool {
 		runs++
 		fresh := (&Runner{Budget: budget}).Run(build(), ReplayStrategy(r.Decisions()))
-		if fresh.Status != r.Status || fresh.Steps != r.Steps || !maps.Equal(fresh.Outcome, r.Outcome) {
+		if fresh.Status != r.Status || fresh.Steps != r.Steps || !slices.Equal(fresh.Reports(), r.Reports()) {
 			t.Fatalf("run %d: %v after %d steps reporting %v; a fresh replay: %v after %d reporting %v",
-				runs, r.Status, r.Steps, r.Outcome, fresh.Status, fresh.Steps, fresh.Outcome)
+				runs, r.Status, r.Steps, r.Reports(), fresh.Status, fresh.Steps, fresh.Reports())
 		}
 		return true
 	})

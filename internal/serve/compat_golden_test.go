@@ -12,6 +12,7 @@ import (
 
 	"compass/internal/check"
 	"compass/internal/litmus"
+	"compass/internal/machine"
 	"compass/internal/telemetry"
 )
 
@@ -93,6 +94,87 @@ func compatLines(t *testing.T) []string {
 		rep := check.Run(lt.Name, lt.Build, check.Options{Seed: seed, Executions: execs, Refine: true, Workers: 1, Stats: stats})
 		lines = append(lines, compatRandomLine(t, lt.Name, seed, rep, stats))
 	}
+	return append(lines, compatSegmentedLines(t)...)
+}
+
+// compatSegmentedLines runs three jobs one worker at a time in paused
+// segments, as compassd's engines do: IRIW unreduced through
+// litmus.JobState, and lib/msqueue and lib/deque at source through
+// check.ExhaustJob with litmus.RunLib's options. Each line is
+// "<workload> pause=P por=<mode> runs=<per segment> frontiers=<sha256 of
+// each paused frontier's JSON> telemetry=<sha256>". Each segment resumes
+// from the decoded JSON, as a restored checkpoint does, so the line pins
+// the frontier's stack order and encoding as well as the counts. The
+// library pauses are smaller than IRIW's so that their 35- and 204-run
+// trees pause too.
+func compatSegmentedLines(t *testing.T) []string {
+	t.Helper()
+	var lines []string
+	segmented := func(name string, pause int, mode check.PORMode, stats *telemetry.Stats, segment func(*machine.Frontier) (int, *machine.Frontier, bool)) {
+		var runs, frontiers []string
+		var f *machine.Frontier
+		for done := false; !done; {
+			var n int
+			n, f, done = segment(f)
+			runs = append(runs, fmt.Sprint(n))
+			if done {
+				break
+			}
+			data, err := json.Marshal(f)
+			if err != nil {
+				t.Fatalf("%s: frontier: %v", name, err)
+			}
+			frontiers = append(frontiers, fmt.Sprintf("%x", sha256.Sum256(data)))
+			f = new(machine.Frontier)
+			if err := json.Unmarshal(data, f); err != nil {
+				t.Fatalf("%s: frontier: %v", name, err)
+			}
+		}
+		sj, err := json.Marshal(stats.Snapshot())
+		if err != nil {
+			t.Fatalf("%s: telemetry: %v", name, err)
+		}
+		lines = append(lines, fmt.Sprintf("%s pause=%d por=%s runs=%s frontiers=%s telemetry=%x",
+			name, pause, mode, strings.Join(runs, ","), strings.Join(frontiers, ","), sha256.Sum256(sj)))
+	}
+
+	for _, tc := range litmus.Suite() {
+		if tc.Name != "IRIW" {
+			continue
+		}
+		const pause = 500
+		stats := telemetry.New()
+		job := litmus.NewJob()
+		segmented("litmus/"+tc.Name, pause, check.POROff, stats, func(f *machine.Frontier) (int, *machine.Frontier, bool) {
+			before := job.Runs
+			job.Frontier = f
+			done := job.RunSegment(tc, 0, pause, litmus.WithWorkers(1), litmus.WithPORMode(check.POROff), litmus.WithStats(stats))
+			return job.Runs - before, job.Frontier, done
+		})
+		if !job.Complete {
+			t.Errorf("litmus/%s: segmented job incomplete after %d runs", tc.Name, job.Runs)
+		}
+	}
+
+	libPause := map[string]int{"lib/msqueue": 10, "lib/deque": 50}
+	for _, lt := range litmus.LibrarySuite() {
+		pause, ok := libPause[lt.Name]
+		if !ok {
+			continue
+		}
+		stats := telemetry.New()
+		opt := check.Options{Mode: check.ModeExhaustive, Budget: 4000, KeepGoing: true, Refine: true, Workers: 1, Stats: stats, POR: check.PORSource}
+		job := check.NewExhaustJob(lt.Name)
+		segmented(lt.Name, pause, check.PORSource, stats, func(f *machine.Frontier) (int, *machine.Frontier, bool) {
+			before := job.Report.Executions
+			job.Frontier = f
+			done := job.RunSegment(lt.Build, opt, pause)
+			return job.Report.Executions - before, job.Frontier, done
+		})
+		if !job.Report.Complete || !job.Report.Passed() {
+			t.Errorf("%s: segmented job incomplete or failing after %d runs", lt.Name, job.Report.Executions)
+		}
+	}
 	return lines
 }
 
@@ -112,8 +194,8 @@ func parseCompat(t *testing.T, data string) (int, map[string]string) {
 	return version, byKey
 }
 
-// compatKey is the "<workload> por=<mode>" or "<workload> mode=random"
-// prefix of a golden line.
+// compatKey is the "<workload> por=<mode>", "<workload> mode=random" or
+// "<workload> pause=<runs>" prefix of a golden line.
 func compatKey(line string) string {
 	f := strings.Fields(line)
 	if len(f) < 2 {

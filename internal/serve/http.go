@@ -26,8 +26,8 @@ const (
 // bounded: they carry a frontier whose size grows with the job.
 const maxRequestBody = 1 << 20
 
-// Handler builds the compassd HTTP API on a manager. The canonical
-// surface is versioned under /v1:
+// Handler builds the compassd HTTP API on a manager. Every route is
+// versioned under /v1:
 //
 //	POST /v1/jobs                submit a JobSpec, returns the JobView (202)
 //	GET  /v1/jobs                list all jobs
@@ -42,28 +42,10 @@ const maxRequestBody = 1 << 20
 //	POST /v1/shard/leases/renew  extend a lease's deadline
 //	POST /v1/shard/leases/return return a completed lease's delta
 //
-// Errors are the uniform JSON envelope {"error", "code"}. The
-// pre-versioning unversioned paths (POST /jobs, GET /jobs, ...) remain
-// as deprecated aliases answering identically plus a "Deprecation: true"
-// header and a Link to their /v1 successor; the lease endpoints are
-// /v1-only (they postdate versioning).
+// Errors are the uniform JSON envelope {"error", "code"}.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
-	// handle registers the /v1 route and, when alias is set, the legacy
-	// unversioned route wrapped with the deprecation headers.
-	handle := func(method, path string, alias bool, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-		if alias {
-			successor := "/v1" + path
-			mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Deprecation", "true")
-				w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-				h(w, r)
-			})
-		}
-	}
-
-	handle("POST", "/jobs", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		// Unknown fields are refused rather than ignored: a spec naming an
 		// option this build lacks (say "dedup") would otherwise run as a
 		// different job than the one submitted.
@@ -85,10 +67,10 @@ func Handler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusAccepted, j.View())
 	})
-	handle("GET", "/jobs", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.JobViews())
 	})
-	handle("GET", "/jobs/{id}", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := m.Job(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -96,7 +78,7 @@ func Handler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, j.View())
 	})
-	handle("GET", "/jobs/{id}/events", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := m.Job(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
@@ -104,19 +86,19 @@ func Handler(m *Manager) http.Handler {
 		}
 		streamEvents(w, r, j)
 	})
-	handle("GET", "/workloads", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, WorkloadNames())
 	})
-	handle("GET", "/stats", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.Stats().Snapshot())
 	})
-	handle("GET", "/healthz", true, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 
-	// Lease protocol: /v1-only.
-	handle("POST", "/shard/leases", false, func(w http.ResponseWriter, r *http.Request) {
+	// Lease protocol.
+	mux.HandleFunc("POST /v1/shard/leases", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Peer string `json:"peer"`
 		}
@@ -135,7 +117,7 @@ func Handler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, grant)
 	})
-	handle("POST", "/shard/leases/renew", false, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/shard/leases/renew", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			JobID   string `json:"job_id"`
 			LeaseID string `json:"lease_id"`
@@ -155,7 +137,7 @@ func Handler(m *Manager) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
-	handle("POST", "/shard/leases/return", false, func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/shard/leases/return", func(w http.ResponseWriter, r *http.Request) {
 		var ret LeaseReturn
 		if err := json.NewDecoder(r.Body).Decode(&ret); err != nil {
 			httpError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode lease return: %w", err))

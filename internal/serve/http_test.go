@@ -45,19 +45,19 @@ func TestHTTPJobLifecycle(t *testing.T) {
 
 	// Registry and liveness.
 	var names []string
-	if code := getJSON(t, srv.URL+"/workloads", &names); code != http.StatusOK {
-		t.Fatalf("GET /workloads: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/workloads", &names); code != http.StatusOK {
+		t.Fatalf("GET /v1/workloads: %d", code)
 	}
 	if len(names) == 0 {
 		t.Fatal("empty workload list")
 	}
-	if code := getJSON(t, srv.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("GET /healthz: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/healthz", nil); code != http.StatusOK {
+		t.Fatalf("GET /v1/healthz: %d", code)
 	}
 
 	// Submit a job.
 	body, _ := json.Marshal(JobSpec{Workload: "litmus/SB", POR: "source"})
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /jobs: %d", resp.StatusCode)
+		t.Fatalf("POST /v1/jobs: %d", resp.StatusCode)
 	}
 	if view.ID == "" || view.Status != StatusRunning && view.Status != StatusDone {
 		t.Fatalf("unexpected submit view: %+v", view)
@@ -80,8 +80,8 @@ func TestHTTPJobLifecycle(t *testing.T) {
 			t.Fatalf("job %s did not finish", view.ID)
 		}
 		time.Sleep(10 * time.Millisecond)
-		if code := getJSON(t, srv.URL+"/jobs/"+view.ID, &view); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s: %d", view.ID, code)
+		if code := getJSON(t, srv.URL+"/v1/jobs/"+view.ID, &view); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s: %d", view.ID, code)
 		}
 	}
 	if view.Status != StatusDone {
@@ -96,20 +96,20 @@ func TestHTTPJobLifecycle(t *testing.T) {
 
 	// The job appears in the listing.
 	var list []JobView
-	if code := getJSON(t, srv.URL+"/jobs", &list); code != http.StatusOK {
-		t.Fatalf("GET /jobs: %d", code)
+	if code := getJSON(t, srv.URL+"/v1/jobs", &list); code != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: %d", code)
 	}
 	found := false
 	for _, v := range list {
 		found = found || v.ID == view.ID
 	}
 	if !found {
-		t.Fatalf("job %s missing from /jobs listing", view.ID)
+		t.Fatalf("job %s missing from /v1/jobs listing", view.ID)
 	}
 
 	// The event stream replays at least the final telemetry snapshot,
 	// every line independently valid against the v1 schema.
-	eresp, err := http.Get(srv.URL + "/jobs/" + view.ID + "/events")
+	eresp, err := http.Get(srv.URL + "/v1/jobs/" + view.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 
 	// Service stats snapshot validates too.
-	sresp, err := http.Get(srv.URL + "/stats")
+	sresp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 	sresp.Body.Close()
 	if err := telemetry.ValidateSnapshotJSON(buf.Bytes()); err != nil {
-		t.Errorf("/stats snapshot invalid: %v", err)
+		t.Errorf("/v1/stats snapshot invalid: %v", err)
 	}
 	var snap telemetry.Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
@@ -157,7 +157,7 @@ func TestHTTPErrors(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	post := func(body string) int {
-		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +173,11 @@ func TestHTTPErrors(t *testing.T) {
 	if code := post(`{"workload":"litmus/SB","mode":"random"}`); code != http.StatusBadRequest {
 		t.Errorf("litmus random: %d, want 400", code)
 	}
-	if code := getJSON(t, srv.URL+"/jobs/nope", nil); code != http.StatusNotFound {
-		t.Errorf("GET /jobs/nope: %d, want 404", code)
+	if code := getJSON(t, srv.URL+"/v1/jobs/nope", nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/nope: %d, want 404", code)
 	}
-	if code := getJSON(t, srv.URL+"/jobs/nope/events", nil); code != http.StatusNotFound {
-		t.Errorf("GET /jobs/nope/events: %d, want 404", code)
+	if code := getJSON(t, srv.URL+"/v1/jobs/nope/events", nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/nope/events: %d, want 404", code)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestHTTPEventStreamLive(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	body, _ := json.Marshal(JobSpec{Workload: "litmus/IRIW", POR: "off"})
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestHTTPEventStreamLive(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	eresp, err := http.Get(srv.URL + "/jobs/" + view.ID + "/events")
+	eresp, err := http.Get(srv.URL + "/v1/jobs/" + view.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

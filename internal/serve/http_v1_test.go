@@ -87,64 +87,45 @@ func TestHTTPV1Lifecycle(t *testing.T) {
 	}
 }
 
-// TestHTTPDeprecationAliases: every pre-versioning path answers
-// identically to its /v1 successor but flags itself deprecated with a
-// Deprecation header and a successor-version Link; the /v1 paths carry
-// neither.
-func TestHTTPDeprecationAliases(t *testing.T) {
+// TestHTTPUnversionedPathsGone: the API answers only under /v1. The
+// unversioned paths, the lease routes' included, answer 404 whatever the
+// method, and a job spec posted to /jobs registers no job, while the
+// same spec posted to /v1/jobs does.
+func TestHTTPUnversionedPathsGone(t *testing.T) {
 	t.Parallel()
-	srv, _ := newTestServer(t)
-
-	paths := []string{"/jobs", "/workloads", "/stats", "/healthz"}
-	for _, path := range paths {
-		old, err := http.Get(srv.URL + path)
+	srv, m := newTestServer(t)
+	post := func(path, body string) int {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		old.Body.Close()
-		canon, err := http.Get(srv.URL + "/v1" + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		canon.Body.Close()
-		if old.StatusCode != canon.StatusCode {
-			t.Errorf("%s: alias %d vs canonical %d", path, old.StatusCode, canon.StatusCode)
-		}
-		if got := old.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("GET %s: Deprecation header = %q, want \"true\"", path, got)
-		}
-		wantLink := `</v1` + path + `>; rel="successor-version"`
-		if got := old.Header.Get("Link"); got != wantLink {
-			t.Errorf("GET %s: Link = %q, want %q", path, got, wantLink)
-		}
-		if got := canon.Header.Get("Deprecation"); got != "" {
-			t.Errorf("GET /v1%s: unexpected Deprecation header %q", path, got)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, req := range []struct{ path, body string }{
+		{"/jobs", `{"workload":"litmus/SB"}`},
+		{"/shard/leases", `{"peer":"p"}`},
+	} {
+		if code := post(req.path, req.body); code != http.StatusNotFound {
+			t.Errorf("POST %s: %d, want 404", req.path, code)
 		}
 	}
-
-	// POST /jobs alias carries the headers too (on the error path here:
-	// empty spec is refused, which also proves the alias shares the
-	// handler).
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
+	if views := m.JobViews(); len(views) != 0 {
+		t.Fatalf("POST /jobs registered %d jobs", len(views))
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("POST /jobs alias missing Deprecation header")
+	if code := post("/v1/jobs", `{"workload":"litmus/SB"}`); code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d, want 202", code)
 	}
-	if ae := decodeEnvelope(t, resp); ae.Code != codeBadRequest {
-		t.Errorf("empty spec code = %q, want %q", ae.Code, codeBadRequest)
+	views := m.JobViews()
+	if len(views) != 1 {
+		t.Fatalf("POST /v1/jobs registered %d jobs, want 1", len(views))
 	}
-
-	// The lease endpoints postdate versioning: /v1-only, no alias.
-	lresp, err := http.Post(srv.URL+"/shard/leases", "application/json", strings.NewReader(`{"peer":"x"}`))
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/jobs", "/jobs/" + views[0].ID, "/jobs/" + views[0].ID + "/events", "/workloads", "/stats", "/healthz"} {
+		if code := getJSON(t, srv.URL+path, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, code)
+		}
 	}
-	lresp.Body.Close()
-	if lresp.StatusCode != http.StatusNotFound {
-		t.Errorf("unversioned lease path answered %d, want 404 (no alias)", lresp.StatusCode)
-	}
+	m.Wait()
 }
 
 // TestHTTPErrorEnvelope pins the {"error","code"} envelope and its code
@@ -258,7 +239,6 @@ func TestHTTPV1RefusesOversizedBodies(t *testing.T) {
 	pad := strings.Repeat(" ", 2<<20)
 	for _, req := range []struct{ path, body string }{
 		{"/v1/jobs", `{"workload":"litmus/SB"}`},
-		{"/jobs", `{"workload":"litmus/SB"}`},
 		{"/v1/shard/leases", `{"peer":"p"}`},
 		{"/v1/shard/leases/renew", `{"job_id":"j","lease_id":"l","epoch":1}`},
 	} {
