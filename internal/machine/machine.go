@@ -5,13 +5,16 @@
 // nondeterminism: which thread steps next, and which visible message a
 // relaxed/acquire read observes.
 //
-// Each thread runs as a coroutine (iter.Pull) that announces the memory
-// access it is about to perform and then decides the next grant itself:
-// it keeps running when the grant is its own and yields when another
-// thread's coroutine has to run. One coroutine runs at a time, so the
-// shared memory needs no locking and executions are deterministic
-// functions of the strategy's decisions (enabling replay and exhaustive
-// exploration).
+// Each worker thread runs as a coroutine (iter.Pull) that announces the
+// memory access it is about to perform and then decides the next grant
+// itself: it keeps running when the grant is its own, and otherwise hands
+// control on without a hub. It resumes the granted thread's coroutine
+// itself, or yields to the thread that resumed it when the granted thread
+// is below it on that resume chain or the run has ended. The main thread's
+// setup and final phases run on the controller's own stack. One body runs
+// at a time, so the shared memory needs no locking and executions are
+// deterministic functions of the strategy's decisions (enabling replay and
+// exhaustive exploration).
 package machine
 
 import (
@@ -160,15 +163,21 @@ type Thread struct {
 	id int
 	tv *memory.ThreadView
 	mc *controller
-	// The thread's coroutine runs body, the body start handed it, and
-	// sets body to nil when the body returns. The body suspends through
-	// yield; the controller resumes the coroutine with next and ends it
-	// with stop. On a kept machine the coroutine then waits for its next
-	// body instead of ending (see controller.loop).
+	// A worker's coroutine runs body, the body start handed it, and sets
+	// body to nil when the body returns. The body suspends through yield;
+	// the thread that grants it, or the controller, resumes the coroutine
+	// with next, and the controller ends it with stop. On a kept machine
+	// the coroutine then waits for its next body instead of ending (see
+	// controller.loop). Main runs on the controller's stack and has no
+	// coroutine: its next and stop stay nil.
 	body  func(*Thread)
 	yield func(struct{}) bool
 	next  func() (struct{}, bool)
 	stop  func()
+	// below is set while the thread waits in a next it called (see
+	// controller.handoff): it is then below the running thread on the
+	// resume chain, and a grant to it is reached by yielding down.
+	below bool
 }
 
 // ID returns the thread's index: 0 for the main thread, 1..N for workers.
@@ -180,15 +189,19 @@ func (t *Thread) TV() *memory.ThreadView { return t.tv }
 
 // step parks the thread with op, the operation it will perform once
 // granted, and returns when the thread holds the grant. While the
-// controller is scheduling, the thread decides the next grant itself: if
-// the grant is its own, step returns with no coroutine switch; otherwise
-// (another thread is granted, or the grant ended the run) the thread
-// yields until it is resumed. A thread being started just yields at its
-// first step. Under partial-order reduction the grant consults op to
-// decide which pending steps commute. Once the run has ended, step
-// unwinds the body instead: at once while the controller is unwinding
-// the parked bodies (from a deferred call in a body, say), or when the
-// thread is resumed to unwind.
+// controller is scheduling, the thread decides the next grant itself; a
+// worker being started continues the spawn instead (see spawned). If the
+// grant is its own, step returns with no coroutine switch. Otherwise the
+// thread routes control (see route): it resumes each granted thread
+// whose coroutine waits in yield, and reads the grant again whenever
+// control comes back to it. When the grant is -1 or goes to a thread
+// below it on the resume chain, it yields to whoever resumed it, and
+// whoever resumes it next has granted it. Main has no coroutine: its
+// grant is its own or -1, which ends its body. Under partial-order
+// reduction the grant consults op to decide which pending steps commute.
+// Once the run has ended, step unwinds the body instead: at once while
+// the controller is unwinding the parked bodies (from a deferred call in
+// a body, say), or when the thread is resumed to unwind.
 func (t *Thread) step(op memory.Access) {
 	c := t.mc
 	if c.unwinding {
@@ -199,11 +212,17 @@ func (t *Thread) step(op memory.Access) {
 		c.pending[t.id] = op
 	}
 	if c.scheduling {
-		if c.granted = c.grant(); c.granted == t.id {
-			return
-		}
+		c.granted = c.grant()
+	} else {
+		c.spawned(t)
 	}
-	if !t.yield(struct{}{}) || c.unwinding {
+	if c.granted == t.id {
+		return
+	}
+	if c.route(t); c.granted == t.id {
+		return
+	}
+	if t.id == 0 || !t.yield(struct{}{}) || c.unwinding {
 		panic(killed{})
 	}
 }
@@ -438,11 +457,18 @@ type controller struct {
 	// run ends.
 	keep      bool
 	unwinding bool
-	// scheduling is set while schedule runs the parked threads: a
+	// scheduling is set while main's phases run and from the workers'
+	// first grant until control is back on the controller's stack: a
 	// thread's step then decides the next grant, and leaves the granted
-	// thread, or -1 when the run ended, in granted.
+	// thread, or -1 when the run ended, in granted. While the workers are
+	// being started, spawn holds their bodies and granted names the worker
+	// to start next (see spawned).
 	scheduling bool
 	granted    int
+	spawn      []func(*Thread)
+	// panicked holds a panic that came out of a coroutine resumed from
+	// another thread's (see handoff) until schedule raises it again.
+	panicked any
 	// How the execution ended, once ended is set.
 	ended  bool
 	status Status
@@ -595,10 +621,10 @@ type Runner struct {
 
 // Run executes prog under the given strategy and returns the result.
 //
-// Every thread body runs as a coroutine: main's setup alone, then the
-// workers under the strategy, then main's final phase after it joins the
-// workers' views. Run stops every coroutine it started before it
-// returns. A panic in a thread body other than an execution abort
+// Main's setup runs alone on the caller's stack, then the workers under
+// the strategy, each as a coroutine, then main's final phase after it
+// joins the workers' views. Run stops every coroutine it started before
+// it returns. A panic in a thread body other than an execution abort
 // (Failf, a race), such as a bug in the program or an out-of-range
 // Strategy.Choose, is re-raised by Run in the caller's goroutine after
 // the other threads are stopped, and so is a panic in the strategy. Each
@@ -700,6 +726,7 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 			c.threads[id] = t
 		}
 		t.tv.Reset(id) // a worker's view is forked from main's at spawn
+		t.below = false
 	}
 	c.state = zeroed(c.state, n, true)
 	for i := 1; i < n; i++ {
@@ -717,7 +744,7 @@ func (c *controller) reset(r *Runner, prog Program, strat Strategy, logCap int) 
 		c.stepThreads = make([]int, 0, 64)
 	}
 	c.stepThreads, c.reports = c.stepThreads[:0], c.reports[:0]
-	c.scheduling, c.granted = false, 0
+	c.scheduling, c.granted, c.spawn, c.panicked = false, 0, nil, nil
 	c.ended, c.status, c.err = false, OK, nil
 
 	c.por, c.sleep, c.doneMask, c.wakes = por, 0, 0, 0
@@ -751,52 +778,130 @@ func zeroed[T any](s []T, n int, use bool) []T {
 func (c *controller) run(prog Program) {
 	main, workers := c.threads[0], c.threads[1:]
 	if prog.Setup != nil {
-		if c.start(main, prog.Setup); c.schedule() {
+		if c.runMain(prog.Setup); c.ended {
 			return
 		}
 	}
-	// Spawn: main blocks until the join, and the workers start one at a
-	// time in thread order with views forked from main's (joined into
-	// their reset views). Each runs alone up to its first step, so
-	// starting adds no decision points.
+	// Spawn: main blocks until the join, and the workers' views are forked
+	// from main's (joined into their reset views), which cannot change
+	// until then.
 	c.state[0] = blocked
-	for i, w := range workers {
+	for _, w := range workers {
 		w.tv.JoinClock(main.tv.Cur)
-		if c.start(w, prog.Workers[i]); c.ended {
+	}
+	if len(workers) > 0 {
+		if c.schedule(prog.Workers); c.ended {
 			return
 		}
-	}
-	if c.schedule() {
-		return
 	}
 	for _, w := range workers {
 		main.tv.JoinClock(w.tv.Cur)
 	}
 	if prog.Final != nil {
-		if c.start(main, prog.Final); c.schedule() {
+		if c.runMain(prog.Final); c.ended {
 			return
 		}
 	}
 	c.end(OK, nil)
 }
 
-// start hands body to thread t and runs it alone up to its first step.
-// The thread's coroutine runs it: the one a kept machine's thread waits
-// in since its last body returned, or a new one when the thread has none
-// (a fresh machine, a new thread, or a coroutine a panic ended).
+// runMain runs a phase of main on the controller's stack. Every worker is
+// unstarted during setup and done during final, so each grant main's
+// steps make is main's own or -1, which ends the body (see step).
+func (c *controller) runMain(body func(*Thread)) {
+	main := c.threads[0]
+	main.body, c.scheduling = body, true
+	c.runBody(main)
+	main.body, c.scheduling = nil, false
+	c.state[0] = done
+}
+
+// start hands body to worker t, to run once t's coroutine is resumed: the
+// one a kept machine's thread waits in since its last body returned, or a
+// new one when the thread has none (a fresh machine, a new thread, or a
+// coroutine a panic ended).
 func (c *controller) start(t *Thread, body func(*Thread)) {
 	t.body = body
 	if t.next == nil {
 		t.next, t.stop = pull(c.loop(t))
 	}
-	c.resume(t)
 }
 
-// loop is the coroutine of thread t. It runs t's body and reports the
-// return by clearing t.body; on a kept machine it then yields until start
+// schedule runs the workers. It starts worker 1, and each worker's first
+// step starts the next (see spawned), so each runs alone, in thread
+// order, up to its first step and starting adds no decision points. The
+// last one makes the first grant, and from then on the threads hand
+// control to each other. Control comes back here once the grant is -1:
+// every worker is done or the run has ended. A panic that handoff
+// recorded on the way is raised again here.
+func (c *controller) schedule(bodies []func(*Thread)) {
+	w := c.threads[1]
+	c.spawn = bodies
+	c.start(w, bodies[0])
+	w.next()
+	c.scheduling, c.spawn = false, nil
+	if p := c.panicked; p != nil {
+		c.panicked = nil
+		panic(p)
+	}
+}
+
+// spawned continues the spawn from worker t, which has reached its first
+// step, or returned or aborted before it: it starts the next worker,
+// whose coroutine the grant then names, or from the last worker begins
+// scheduling with the first grant. An abort ends the spawn instead, with
+// the grant -1.
+func (c *controller) spawned(t *Thread) {
+	switch {
+	case c.ended:
+		c.granted = -1
+	case t.id < len(c.spawn):
+		w := c.threads[t.id+1]
+		c.start(w, c.spawn[t.id])
+		c.granted = w.id
+	default:
+		c.scheduling = true
+		c.granted = c.grant()
+	}
+}
+
+// route hands control on from thread t, which is running: while the
+// grant names another thread whose coroutine waits in yield, t resumes
+// it (see handoff) and reads the grant again once control is back. It
+// returns when the grant is t's own, -1, or a thread below t on the
+// resume chain, which only yielding down reaches.
+func (c *controller) route(t *Thread) {
+	for g := c.granted; g >= 0 && g != t.id && !c.threads[g].below; g = c.granted {
+		c.handoff(t, c.threads[g])
+	}
+}
+
+// handoff resumes g's coroutine from t's and returns when control comes
+// back to t: g, or a thread it resumed in turn, yielded down or finished.
+// t is below the running thread meanwhile. A panic out of g's coroutine
+// (a body's, or the strategy's in a grant made there) is recovered here,
+// so no deferred recover in t's body sees it: handoff records it, ends
+// the run and sets the grant to -1, so that every thread on the chain
+// yields down and schedule raises it again.
+func (c *controller) handoff(t, g *Thread) {
+	t.below = true
+	defer func() {
+		t.below = false
+		if p := recover(); p != nil {
+			c.ended, c.panicked, c.granted = true, p, -1
+		}
+	}()
+	g.next()
+}
+
+// loop is the coroutine of worker t. It runs t's body and reports the
+// return by clearing t.body. A body that returned or aborted is done: it
+// makes the next grant, or continues the spawn, and routes control, as
+// its steps do. On a kept machine the coroutine then yields until start
 // hands it the next body, otherwise it ends. A panic other than an
 // execution abort or an unwind ends the coroutine and reaches the
-// controller through next; the thread then has no coroutine.
+// thread or controller that resumed it through next; the thread then has
+// no coroutine.
 func (c *controller) loop(t *Thread) func(yield func(struct{}) bool) {
 	return func(yield func(struct{}) bool) {
 		defer func() { t.next, t.stop = nil, nil }()
@@ -804,6 +909,9 @@ func (c *controller) loop(t *Thread) func(yield func(struct{}) bool) {
 		for {
 			c.runBody(t)
 			t.body = nil
+			if !c.unwinding {
+				c.finish(t)
+			}
 			if !c.keep || !yield(struct{}{}) {
 				return
 			}
@@ -811,8 +919,25 @@ func (c *controller) loop(t *Thread) func(yield func(struct{}) bool) {
 	}
 }
 
+// finish marks worker t, whose body has returned or aborted, done and
+// hands control on: the grant never names t again, so control comes back
+// to t only to yield down.
+func (c *controller) finish(t *Thread) {
+	c.state[t.id] = done
+	if c.por != POROff {
+		c.doneMask |= 1 << uint(t.id)
+	}
+	if c.scheduling {
+		c.granted = c.grant()
+	} else {
+		c.spawned(t)
+	}
+	c.route(t)
+}
+
 // runBody runs t's current body. An abort is recorded as the end of the
-// execution and an unwind ends the body only; any other panic goes on.
+// execution, and an unwind (or main's grant of -1) ends the body only;
+// any other panic goes on.
 func (c *controller) runBody(t *Thread) {
 	defer func() {
 		switch p := recover().(type) {
@@ -824,37 +949,6 @@ func (c *controller) runBody(t *Thread) {
 		}
 	}()
 	t.body(t)
-}
-
-// resume runs thread t until it yields or its body returns, and reports
-// whether it yielded.
-func (c *controller) resume(t *Thread) bool {
-	if t.next(); t.body != nil {
-		return true
-	}
-	c.state[t.id] = done
-	if c.por != POROff && t.id != 0 {
-		// Main's setup ends here too, but main only finishes with the run.
-		c.doneMask |= 1 << uint(t.id)
-	}
-	return false
-}
-
-// schedule runs the parked threads until none is parked, and reports
-// whether the execution has ended. It decides a grant itself only at the
-// start and after a body returns; a thread that yields has decided the
-// next grant in its own step.
-func (c *controller) schedule() bool {
-	c.scheduling = true
-	for g := c.grant(); g >= 0; {
-		if c.resume(c.threads[g]) {
-			g = c.granted
-		} else {
-			g = c.grant()
-		}
-	}
-	c.scheduling = false
-	return c.ended
 }
 
 // grant decides the next step among the parked threads and returns the
@@ -920,8 +1014,10 @@ func (c *controller) end(st Status, err error) {
 
 // unwind ends every body still parked when a run ends: it resumes each
 // one's thread with unwinding set, so the body's step panics killed and
-// the body unwinds. On a kept machine the coroutine then waits for its
-// next body; otherwise it ends.
+// the body unwinds, handing control on to no one. On a kept machine the
+// coroutine then waits for its next body; otherwise it ends. When run
+// returns, however the run ended, every coroutine waits in yield or has
+// finished, so the controller resumes each in turn.
 func (c *controller) unwind() {
 	c.unwinding = true
 	for _, t := range c.threads {
@@ -934,12 +1030,15 @@ func (c *controller) unwind() {
 
 // stopAll ends the coroutine of every thread the machine ever had,
 // including threads beyond the last run's count, unwinding any body still
-// parked. Runner.Run defers it, and Kept.Close calls it, which the loops
-// that keep a machine defer, so it also runs when a panic propagates.
+// parked (only when a panic cut unwind short) without handing control
+// on. Runner.Run defers it, and Kept.Close calls it, which the loops that
+// keep a machine defer, so it also runs when a panic propagates.
 func (c *controller) stopAll() {
+	c.unwinding = true
 	for _, t := range c.threads[:cap(c.threads)] {
 		if t != nil && t.stop != nil {
 			t.stop()
 		}
 	}
+	c.unwinding = false
 }

@@ -12,7 +12,8 @@ import "iter"
 // is iter.Pull's: next runs the body to its next yield or its end and
 // re-raises its panic; stop makes a suspended yield return false and
 // returns once the body has exited, and a yield after that returns false
-// at once.
+// at once. Like a coroutine's, a body's goroutine may call another
+// thread's next (see controller.handoff).
 //
 //compass:scheduler
 func pull(seq iter.Seq[struct{}]) (func() (struct{}, bool), func()) {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -290,11 +291,7 @@ func TestDeferredStepDuringUnwind(t *testing.T) {
 	runs := 0
 	Explore(build, ExploreOpts{Budget: budget, MaxRuns: 20}, func(r *Result) bool {
 		runs++
-		fresh := (&Runner{Budget: budget}).Run(build(), ReplayStrategy(r.Decisions()))
-		if fresh.Status != r.Status || fresh.Steps != r.Steps || !slices.Equal(fresh.Reports(), r.Reports()) {
-			t.Fatalf("run %d: %v after %d steps reporting %v; a fresh replay: %v after %d reporting %v",
-				runs, r.Status, r.Steps, r.Reports(), fresh.Status, fresh.Steps, fresh.Reports())
-		}
+		sameAsFresh(t, fmt.Sprintf("run %d", runs), r, r.Decisions(), build, budget)
 		return true
 	})
 	if runs < 2 {
@@ -365,4 +362,241 @@ func TestRunPropagatesPanics(t *testing.T) {
 		}
 		noLeak(t, &base, tc.name)
 	}
+}
+
+// recovered lists, by thread, the panics that bodies' deferred recovers
+// saw. ExploreParallel's workers write it concurrently.
+type recovered struct {
+	mu sync.Mutex
+	by map[int][]any
+}
+
+// take returns the panics seen so far and forgets them.
+func (r *recovered) take() map[int][]any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	by := r.by
+	r.by = map[int][]any{}
+	return by
+}
+
+// watched wraps each body so that its deferred recover records every
+// panic that unwinds the body in seen before passing it on.
+func watched(seen *recovered, bodies ...func(*Thread)) []func(*Thread) {
+	out := make([]func(*Thread), len(bodies))
+	for i, body := range bodies {
+		out[i] = func(th *Thread) {
+			defer func() {
+				if p := recover(); p != nil {
+					seen.mu.Lock()
+					if seen.by == nil {
+						seen.by = map[int][]any{}
+					}
+					seen.by[th.ID()] = append(seen.by[th.ID()], p)
+					seen.mu.Unlock()
+					panic(p)
+				}
+			}()
+			body(th)
+		}
+	}
+	return out
+}
+
+// handedOff is a program whose worker 2 panics after its first step.
+// Worker 1 is the only one the controller resumes, so worker 2's body is
+// always resumed from another worker's coroutine when it panics.
+func handedOff(seen *recovered) func() Program {
+	twice := func(th *Thread) { th.Yield(); th.Yield() }
+	return func() Program {
+		return Program{Workers: watched(seen, twice, func(th *Thread) { th.Yield(); panic("handoff boom") }, twice)}
+	}
+}
+
+// onlyOwnPanics fails the test unless worker 2's deferred recover saw its
+// own panic and no other body's recovered anything but an unwind.
+func onlyOwnPanics(t *testing.T, what string, seen *recovered) {
+	t.Helper()
+	by := seen.take()
+	if len(by[2]) == 0 {
+		t.Errorf("%s: worker 2 never panicked", what)
+	}
+	for id, ps := range by {
+		for _, p := range ps {
+			if _, ok := p.(killed); !ok && id != 2 {
+				t.Errorf("%s: thread %d's deferred recover saw %v", what, id, p)
+			}
+		}
+	}
+}
+
+// sameAsFresh fails the test unless r equals a fresh replay of its
+// decisions on a new machine: status, error, steps, reports and the
+// per-step thread record.
+func sameAsFresh(t *testing.T, what string, r *Result, decisions []Decision, build func() Program, budget int) {
+	t.Helper()
+	fresh := (&Runner{Budget: budget}).Run(build(), ReplayStrategy(decisions))
+	if fresh.Status != r.Status || fmt.Sprint(fresh.Err) != fmt.Sprint(r.Err) || fresh.Steps != r.Steps ||
+		!slices.Equal(fresh.Reports(), r.Reports()) || !slices.Equal(fresh.StepThreads(), r.StepThreads()) {
+		t.Fatalf("%s: %v (%v) after %d steps reporting %v, threads %v; a fresh replay: %v (%v) after %d reporting %v, threads %v",
+			what, r.Status, r.Err, r.Steps, r.Reports(), r.StepThreads(), fresh.Status, fresh.Err, fresh.Steps, fresh.Reports(), fresh.StepThreads())
+	}
+}
+
+// TestHandedOffPanicsSurface: a panic in a body that another body's
+// coroutine resumed comes out of that resume. It surfaces from
+// Runner.Run, Kept.Run, Explore, ExploreParallel at two workers and a
+// seeded random loop in the caller, after the other bodies are unwound;
+// the deferred recover of the body that resumed it sees only the unwind;
+// the goroutine count returns to its base; and a kept machine's next run
+// equals a fresh replay.
+func TestHandedOffPanicsSurface(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see noLeak
+	base := runtime.NumGoroutine()
+	seen := new(recovered)
+	build := handedOff(seen)
+	// surfaces runs f and checks the panic it raises. A kept machine
+	// keeps its coroutines until it is closed, so the goroutine count is
+	// checked only after f returns with none kept.
+	surfaces := func(what string, kept bool, f func()) {
+		t.Helper()
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			f()
+			return nil
+		}()
+		if got != "handoff boom" {
+			t.Errorf("%s panicked with %v, want handoff boom", what, got)
+		}
+		onlyOwnPanics(t, what, seen)
+		if !kept {
+			noLeak(t, &base, what)
+		}
+	}
+	// Worker 1 steps, then grants worker 2 from its own step, so its body
+	// is below worker 2's when worker 2 panics.
+	inBody := []Decision{{N: 3, Pick: 0}, {N: 3, Pick: 1}}
+	surfaces("Run", false, func() { (&Runner{}).Run(build(), ReplayStrategy(inBody)) })
+	surfaces("Explore", false, func() { Explore(build, ExploreOpts{}, func(*Result) bool { return true }) })
+	surfaces("ExploreParallel", false, func() {
+		ExploreParallel(ExploreOpts{Workers: 2}, func() (func() Program, func(*Result) bool) {
+			return build, func(*Result) bool { return true }
+		})
+	})
+	surfaces("RunRandomOpt", false, func() { RunRandomOpt(build, 10, 1, ExploreOpts{}, func(*Result) bool { return true }) })
+
+	// The kept machine runs on after the panic: its next runs equal fresh
+	// replays, and closing it leaves no goroutine behind.
+	m := (&Runner{}).Keep()
+	surfaces("Kept.Run", true, func() { m.Run(build(), ReplayStrategy(inBody)) })
+	strat := &TraceStrategy{}
+	for i := 0; i < 20; i++ {
+		strat.prefix, strat.pos, strat.Trace = []Decision{{N: 3, Pick: i % 3}, {N: 3, Pick: (i / 3) % 3}}, 0, nil
+		r := m.Run(buildMP(), strat)
+		sameAsFresh(t, fmt.Sprintf("kept run %d after a panic", i), r, strat.Trace, buildMP, 0)
+	}
+	m.Close()
+	noLeak(t, &base, "closed kept machine")
+}
+
+// TestHandedOffAbortsMatchFreshReplays: a Failf and a data race in a
+// resumed thread end the run with the same Result as a fresh replay of
+// its decisions, on every run of an exhaustive exploration and of a
+// seeded random loop, and the goroutine count returns to its base.
+func TestHandedOffAbortsMatchFreshReplays(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see noLeak
+	base := runtime.NumGoroutine()
+	build := func() Program {
+		var x view.Loc
+		return Program{
+			Setup: func(th *Thread) { x = th.Alloc("x", 0) },
+			Workers: []func(*Thread){
+				func(th *Thread) { th.Write(x, 1, memory.Rlx); th.Yield() },
+				func(th *Thread) {
+					if th.Read(x, memory.Rlx) == 1 {
+						th.Failf("saw x=1")
+					}
+					th.Yield()
+				},
+				func(th *Thread) { th.Yield(); th.Write(x, 2, memory.NA) },
+				func(th *Thread) { th.Report("x", th.Read(x, memory.NA)) },
+			},
+		}
+	}
+	const budget = 50
+	seen := map[Status]int{}
+	runs := 0
+	res := Explore(build, ExploreOpts{Budget: budget}, func(r *Result) bool {
+		runs++
+		seen[r.Status]++
+		sameAsFresh(t, fmt.Sprintf("explored run %d", runs), r, r.Decisions(), build, budget)
+		return true
+	})
+	if !res.Complete {
+		t.Fatalf("exploration incomplete after %d runs", res.Runs)
+	}
+	noLeak(t, &base, "exploration")
+	strat := Record(NewRandom(0))
+	m := (&Runner{Budget: budget}).Keep()
+	for seed := int64(0); seed < 200; seed++ {
+		strat.Inner.(*RandomStrategy).Reset(seed)
+		strat.Trace = strat.Trace[:0]
+		r := m.Run(build(), strat)
+		seen[r.Status]++
+		sameAsFresh(t, fmt.Sprintf("random run %d", seed), r, strat.Trace, build, budget)
+	}
+	m.Close()
+	noLeak(t, &base, "random runs")
+	for _, st := range []Status{OK, Racy, Failed} {
+		if seen[st] == 0 {
+			t.Errorf("no %v run (saw %v)", st, seen)
+		}
+	}
+}
+
+// TestBudgetCutUnwindsTheResumeChain: the spawn leaves workers 1 to 3
+// below worker 4 on the resume chain, and a step budget of one cuts the
+// run at worker 4's second grant. Control goes down the chain, and every
+// body is unwound: each one's deferred recover sees the unwind, under
+// Runner.Run, on a kept machine whose next run equals a fresh replay, and
+// in an exploration whose every run the budget cuts.
+func TestBudgetCutUnwindsTheResumeChain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // see noLeak
+	base := runtime.NumGoroutine()
+	seen := new(recovered)
+	build := func() Program { return Program{Workers: watched(seen, spin, spin, spin, spin)} }
+	unwound := func(what string, r *Result) {
+		t.Helper()
+		if r.Status != Budget {
+			t.Fatalf("%s: %v, want budget", what, r.Status)
+		}
+		by := seen.take()
+		for id := 1; id <= 4; id++ {
+			if len(by[id]) != 1 || by[id][0] != (killed{}) {
+				t.Fatalf("%s: thread %d's deferred recover saw %v, want one unwind", what, id, by[id])
+			}
+		}
+	}
+	last := []Decision{{N: 4, Pick: 3}}
+	unwound("Run", (&Runner{Budget: 1}).Run(build(), ReplayStrategy(last)))
+	noLeak(t, &base, "Run")
+
+	m := (&Runner{Budget: 1}).Keep()
+	unwound("Kept.Run", m.Run(build(), ReplayStrategy(last)))
+	strat := &TraceStrategy{prefix: []Decision{{N: 3, Pick: 2}}}
+	r := m.Run(buildMP(), strat)
+	sameAsFresh(t, "kept run after the cut", r, strat.Trace, buildMP, 1)
+	m.Close()
+	noLeak(t, &base, "closed kept machine")
+
+	runs := 0
+	Explore(build, ExploreOpts{Budget: 1}, func(r *Result) bool {
+		runs++
+		unwound(fmt.Sprintf("explored run %d", runs), r)
+		return true
+	})
+	if runs != 16 {
+		t.Fatalf("explored %d runs, want 16: the cut is made after the second of two four-way picks", runs)
+	}
+	noLeak(t, &base, "exploration")
 }

@@ -61,17 +61,13 @@ func compatRandomLine(t *testing.T, name string, seed int64, rep *check.Report, 
 
 // compatLines explores every configuration serially with a fresh
 // telemetry sink: the litmus suite and the footprint workloads with POR
-// off and at source (STAR5 at source only; it does not finish
-// unreduced), and the library corpus at source. It also runs each
+// off and at source, and the library corpus at source. It also runs each
 // library workload as a serial seeded random job with the refinement
 // oracle on and a fresh telemetry sink.
 func compatLines(t *testing.T) []string {
 	var lines []string
 	for _, tc := range append(litmus.Suite(), litmus.FootprintSuite()...) {
 		for _, mode := range []check.PORMode{check.POROff, check.PORSource} {
-			if tc.Name == "STAR5" && mode != check.PORSource {
-				continue
-			}
 			stats := telemetry.New()
 			res := litmus.Run(tc, 0, litmus.WithWorkers(1), litmus.WithPORMode(mode), litmus.WithStats(stats))
 			if !res.Complete {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -29,7 +30,10 @@ func decodeEnvelope(t *testing.T, resp *http.Response) apiError {
 }
 
 // TestHTTPV1Lifecycle walks the whole job lifecycle over the canonical
-// /v1 paths: submit, get, list, events, workloads, stats, healthz.
+// /v1 paths: submit, get, list, events, workloads, stats, healthz. The
+// finished job's result carries an outcome histogram, every event line
+// and the stats snapshot validate against the telemetry v1 schema, and
+// the service counters include the job.
 func TestHTTPV1Lifecycle(t *testing.T) {
 	t.Parallel()
 	srv, _ := newTestServer(t)
@@ -55,6 +59,9 @@ func TestHTTPV1Lifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: %d", resp.StatusCode)
 	}
+	if view.ID == "" || view.Status != StatusRunning && view.Status != StatusDone {
+		t.Fatalf("unexpected submit view: %+v", view)
+	}
 
 	deadline := time.Now().Add(30 * time.Second)
 	for view.Status == StatusRunning {
@@ -66,24 +73,63 @@ func TestHTTPV1Lifecycle(t *testing.T) {
 			t.Fatalf("GET /v1/jobs/%s: %d", view.ID, code)
 		}
 	}
-	if view.Status != StatusDone || view.Result == nil || !view.Result.Passed {
+	if view.Status != StatusDone || view.Result == nil || !view.Result.Passed || !view.Result.Complete {
 		t.Fatalf("job did not pass: %+v", view)
+	}
+	if len(view.Result.Outcomes) == 0 {
+		t.Fatal("no outcome histogram in result")
 	}
 
 	var list []JobView
-	if code := getJSON(t, srv.URL+"/v1/jobs", &list); code != http.StatusOK || len(list) != 1 {
-		t.Fatalf("GET /v1/jobs: code %d, %d jobs", code, len(list))
+	if code := getJSON(t, srv.URL+"/v1/jobs", &list); code != http.StatusOK || len(list) != 1 || list[0].ID != view.ID {
+		t.Fatalf("GET /v1/jobs: code %d, jobs %+v, want job %s alone", code, list, view.ID)
 	}
+
+	// The event stream replays at least the final telemetry snapshot,
+	// every line independently valid against the v1 schema.
 	eresp, err := http.Get(srv.URL + "/v1/jobs/" + view.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eresp.Body.Close()
+	defer eresp.Body.Close()
 	if eresp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/jobs/{id}/events: %d", eresp.StatusCode)
 	}
-	if code := getJSON(t, srv.URL+"/v1/stats", nil); code != http.StatusOK {
-		t.Fatalf("GET /v1/stats: %d", code)
+	if ct := eresp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("events Content-Type = %q", ct)
+	}
+	sc := bufio.NewScanner(eresp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	lines := 0
+	for sc.Scan() {
+		lines++
+		if err := telemetry.ValidateSnapshotJSON(sc.Bytes()); err != nil {
+			t.Errorf("event line %d invalid: %v", lines, err)
+		}
+	}
+	if lines == 0 {
+		t.Error("event stream delivered no snapshots")
+	}
+
+	sresp, err := http.Get(srv.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	_, err = buf.ReadFrom(sresp.Body)
+	sresp.Body.Close()
+	if err != nil || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d, %v", sresp.StatusCode, err)
+	}
+	if err := telemetry.ValidateSnapshotJSON(buf.Bytes()); err != nil {
+		t.Errorf("/v1/stats snapshot invalid: %v", err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Serve.JobsSubmitted < 1 || snap.Serve.JobsDone < 1 {
+		t.Errorf("serve counters missing the job: %+v", snap.Serve)
 	}
 }
 
